@@ -172,6 +172,7 @@ class VotingGame:
     players: tuple[Player, ...]
     total_weight: Weight = field(init=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
+    _lowered: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         players = tuple(self.players)

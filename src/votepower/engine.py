@@ -9,9 +9,10 @@ player, the swing count beta; from it come two indices:
   every other stockholder joins a coalition independently with chance 1/2.
 
 Three backends produce the counts. Exhaustive enumeration is the reference.
-The subset-sum table backend reproduces it exactly in O(N * total_weight)
-time instead of O(2^N). Monte Carlo sampling estimates the absolute index
-with a 95% confidence half-width for games too large for either.
+The subset-sum table backend reproduces it exactly in O(N * W) time instead
+of O(2^N), W being the game's integer total weight after dividing by the
+gcd. Monte Carlo sampling estimates the absolute index with a 95%
+confidence half-width for games too large for either.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from .core import (
     BackendLimitError,
     Coalition,
     EnumerationLimitError,
-    Player,
     ValidationError,
     VotingGame,
     is_winning,
 )
 
 DEFAULT_DP_TABLE_BOUND = 5_000_000
-"""Largest scaled integer total weight the table backend will allocate."""
+"""Largest integer total weight, after dividing the weights by their gcd,
+for which the table backend allocates its O(total) table."""
 
 DEFAULT_MC_SAMPLES = 50_000
 
@@ -104,16 +105,16 @@ class PowerReport:
 
 
 def is_dictator(game: VotingGame, player_id: str) -> bool:
-    """A dictator's weight alone meets the quota (w_i >= q * W, exact)."""
-    return game.player(player_id).weight.bp >= game.winning_threshold
+    """A dictator's weight alone meets the quota (w_i >= T, exact)."""
+    weights, threshold, total = _integer_form(game)
+    return Status.DICTATOR in _weight_statuses(weights[game.index_of(player_id)], threshold, total)
 
 
 def has_veto(game: VotingGame, player_id: str) -> bool:
     """Veto power: cannot pass a motion alone, yet no coalition passes one
-    without them (w_i < q*W and W - w_i < q*W, both exact)."""
-    weight = game.player(player_id).weight.bp
-    threshold = game.winning_threshold
-    return weight < threshold and game.total_weight.bp - weight < threshold
+    without them (w_i < T and W - w_i < T, both exact)."""
+    weights, threshold, total = _integer_form(game)
+    return Status.VETO in _weight_statuses(weights[game.index_of(player_id)], threshold, total)
 
 
 def is_critical(game: VotingGame, coalition: Coalition, player_id: str) -> bool:
@@ -133,19 +134,27 @@ def one_person_one_vote_power(n: int) -> Fraction:
     return Fraction(1, n)
 
 
-def _integer_form(game: VotingGame) -> tuple[list[int], int]:
-    """Scale weights to integers; return them with the least winning total.
+def _integer_form(game: VotingGame) -> tuple[tuple[int, ...], int, int]:
+    """Lower the game to integers: weights, least winning total T, total W.
 
-    Winning is weight >= q * W. For integer weights that is equivalent to
-    weight >= ceil(q * W), computed here in exact integer arithmetic.
+    The bp weights are scaled by the lcm of their denominators and divided
+    by their gcd, so W is the smallest integer total with the same winning
+    coalitions. Winning is weight >= q * W; for integer weights that is
+    weight >= T = ceil(q * W), computed here in exact integer arithmetic.
+    Every backend and status flag reads this form; it is computed once per
+    game and kept on it.
     """
-    bps = [p.weight.bp for p in game.players]
-    scale = math.lcm(*(b.denominator for b in bps))
-    weights = [int(b * scale) for b in bps]
-    total = sum(weights)
-    q = game.quota.threshold
-    threshold = -(-q.numerator * total // q.denominator)
-    return weights, threshold
+    if game._lowered is None:
+        bps = [p.weight.bp for p in game.players]
+        scale = math.lcm(*(b.denominator for b in bps))
+        weights = [b.numerator * (scale // b.denominator) for b in bps]
+        divisor = math.gcd(*weights) or 1
+        weights = tuple(w // divisor for w in weights)
+        total = sum(weights)
+        q = game.quota.threshold
+        threshold = -(-q.numerator * total // q.denominator)
+        object.__setattr__(game, "_lowered", (weights, threshold, total))
+    return game._lowered
 
 
 def swing_counts_enum(
@@ -159,14 +168,9 @@ def swing_counts_enum(
             f"{game.n} players exceeds the enumeration limit of {limit}; "
             "use the dp or mc backend instead"
         )
-    weights, threshold = _integer_form(game)
-    if sum(weights) < _INT64_SAFE and threshold < _INT64_SAFE:
-        return _enum_numpy(game, weights, threshold)
-    return _enum_python(game, weights, threshold)
-
-
-def _enum_numpy(game: VotingGame, weights: list[int], threshold: int) -> list[SwingCount]:
-    sums = np.zeros(1, dtype=np.int64)
+    weights, threshold, total = _integer_form(game)
+    # Python integers in an object array where int64 could overflow.
+    sums = np.zeros(1, dtype=np.int64 if total < _INT64_SAFE else object)
     for w in weights:
         sums = np.concatenate([sums, sums + w])
     counts = []
@@ -175,19 +179,6 @@ def _enum_numpy(game: VotingGame, weights: list[int], threshold: int) -> list[Sw
         others = sums.reshape(-1, 2, 1 << i)[:, 0, :].ravel()
         swings = int(np.count_nonzero((others >= threshold - w) & (others < threshold)))
         counts.append(SwingCount(game.players[i].id, swings))
-    return counts
-
-
-def _enum_python(game: VotingGame, weights: list[int], threshold: int) -> list[SwingCount]:
-    counts = []
-    for i, w in enumerate(weights):
-        others = [0]
-        for j, wj in enumerate(weights):
-            if j != i:
-                others += [s + wj for s in others]
-        low = threshold - w
-        beta = sum(1 for s in others if low <= s < threshold)
-        counts.append(SwingCount(game.players[i].id, beta))
     return counts
 
 
@@ -204,11 +195,10 @@ def swing_counts_dp(
     T - w_i <= s < T where T is the least winning total. Output is
     identical to :func:`swing_counts_enum` wherever both run.
     """
-    weights, threshold = _integer_form(game)
-    total = sum(weights)
+    weights, threshold, total = _integer_form(game)
     if total > table_bound:
         raise DpTableLimitError(
-            f"scaled total weight {total} exceeds the table bound of {table_bound}"
+            f"reduced total weight {total} exceeds the table bound of {table_bound}"
         )
     counts = [0] * (total + 1)
     counts[0] = 1
@@ -244,7 +234,7 @@ def swing_estimate_mc(
     """
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
-    weights, threshold = _integer_form(game)
+    weights, threshold, _ = _integer_form(game)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(samples, game.n), dtype=np.int64)
     base = draws @ np.asarray(weights, dtype=np.int64)
@@ -254,7 +244,7 @@ def swing_estimate_mc(
         hits.append(int(np.count_nonzero((others >= threshold - w) & (others < threshold))))
     total_hits = sum(hits)
     entries = []
-    for player, w, k in zip(game.players, weights, hits):
+    for player, k, statuses in zip(game.players, hits, _sampling_statuses(game)):
         estimate = Fraction(k, samples)
         p = k / samples
         half_width = 1.96 * math.sqrt(p * (1.0 - p) / samples)
@@ -264,7 +254,7 @@ def swing_estimate_mc(
                 beta=k,
                 normalized=Fraction(k, total_hits) if total_hits else Fraction(0),
                 absolute=estimate,
-                statuses=_sampling_statuses(game, player),
+                statuses=statuses,
                 half_width=half_width,
             )
         )
@@ -277,41 +267,41 @@ def swing_estimate_mc(
     )
 
 
-def _weight_statuses(game: VotingGame, player: Player) -> set[Status]:
-    statuses: set[Status] = set()
-    if is_dictator(game, player.id):
-        statuses.add(Status.DICTATOR)
-    if has_veto(game, player.id):
-        statuses.add(Status.VETO)
-    return statuses
+def _weight_statuses(weight: int, threshold: int, total: int) -> set[Status]:
+    if weight >= threshold:
+        return {Status.DICTATOR}
+    if total - weight < threshold:
+        return {Status.VETO}
+    return set()
 
 
-def _sampling_statuses(game: VotingGame, player: Player) -> frozenset[Status]:
+def _sampling_statuses(game: VotingGame) -> list[frozenset[Status]]:
     # Sampling cannot prove beta == 0, so only weight-derivable dummies are
     # flagged: zero weight, or another player dictates under a majority quota.
-    statuses = _weight_statuses(game, player)
-    if player.weight.bp == 0:
-        statuses.add(Status.DUMMY)
-    elif game.quota.threshold > Fraction(1, 2):
-        if any(
-            other.id != player.id and is_dictator(game, other.id)
-            for other in game.players
-        ):
+    weights, threshold, total = _integer_form(game)
+    q = game.quota.threshold
+    dictators = sum(w >= threshold for w in weights) if 2 * q.numerator > q.denominator else 0
+    out = []
+    for w in weights:
+        statuses = _weight_statuses(w, threshold, total)
+        if w == 0 or dictators - (w >= threshold) > 0:
             statuses.add(Status.DUMMY)
-    return frozenset(statuses)
+        out.append(frozenset(statuses))
+    return out
 
 
 def _exact_report(game: VotingGame, counts: list[SwingCount], backend: str) -> PowerReport:
+    weights, threshold, total_weight = _integer_form(game)
     total = sum(c.beta for c in counts)
     denominator = 1 << (game.n - 1)
     entries = []
-    for player, count in zip(game.players, counts):
-        statuses = _weight_statuses(game, player)
+    for w, count in zip(weights, counts):
+        statuses = _weight_statuses(w, threshold, total_weight)
         if count.beta == 0:
             statuses.add(Status.DUMMY)
         entries.append(
             PlayerPower(
-                player_id=player.id,
+                player_id=count.player_id,
                 beta=count.beta,
                 normalized=Fraction(count.beta, total) if total else Fraction(0),
                 absolute=Fraction(count.beta, denominator),

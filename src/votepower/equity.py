@@ -23,7 +23,7 @@ from .core import (
     Weight,
     make_game,
 )
-from .engine import PowerReport, is_dictator, power_report
+from .engine import PowerReport, Status, power_report
 
 
 class ControlTestVerdict(enum.Enum):
@@ -75,17 +75,18 @@ def classify_foreign_control(
     """
     if quota is not None:
         game = game.with_quota(quota)
-    domestic = [p for p in game.players if p.nationality.kind is NationalityKind.DOMESTIC]
-    if not domestic:
+    if not any(p.nationality.kind is NationalityKind.DOMESTIC for p in game.players):
         raise ValidationError("no domestic players to compare against")
-    report = power_report(game, backend)
-    best_domestic = max(report.normalized(p.id) for p in domestic)
+    entries = list(zip(game.players, power_report(game, backend).entries))
+    best_domestic = max(
+        e.normalized for p, e in entries if p.nationality.kind is NationalityKind.DOMESTIC
+    )
     verdicts: dict[str, ControlClassification] = {}
-    for player in game.players:
+    for player, entry in entries:
         if player.nationality.kind is not NationalityKind.FOREIGN:
             continue
-        power = report.normalized(player.id)
-        if is_dictator(game, player.id):
+        power = entry.normalized
+        if Status.DICTATOR in entry.statuses:
             verdicts[player.id] = ControlClassification.DICTATOR
         elif power > best_domestic:
             verdicts[player.id] = ControlClassification.EFFECTIVE_CONTROL

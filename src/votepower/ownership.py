@@ -31,7 +31,7 @@ from .core import (
     Weight,
     make_game,
 )
-from .engine import PowerReport, is_dictator, power_report
+from .engine import PowerReport, Status, power_report
 from .equity import (
     ControlClassification,
     ControlTestVerdict,
@@ -277,7 +277,7 @@ def discrete_propagate(graph: OwnershipGraph, *, backend: str = "enum") -> tuple
         controller: str | None = None
         kind: ControllerKind | None = None
         joint: tuple[str, ...] = ()
-        dictators = [p.id for p in game.players if is_dictator(game, p.id)]
+        dictators = [e.player_id for e in report.entries if Status.DICTATOR in e.statuses]
         if dictators:
             controller = dictators[0]
             kind = ControllerKind.DICTATOR

@@ -104,6 +104,18 @@ def test_run_accepts_shipped_corpus_files(capsys):
     assert "methods DIVERGE" in out
 
 
+def test_run_dp_backend_matches_enum_on_telecom_corpus(capsys):
+    # The float-adjusted weights scale to 53,930,000 before dividing by
+    # their gcd of 10,000; the table bound applies to the reduced total.
+    path = str(corpus_dir() / "telecom_blockholders.json")
+    outputs = {}
+    for backend in ("enum", "dp"):
+        assert main(["run", path, "--backend", backend, "--format", "machine"]) == 0
+        outputs[backend] = capsys.readouterr().out
+    assert '"backend": "dp"' in outputs["dp"]
+    assert outputs["dp"].replace('"backend": "dp"', '"backend": "enum"') == outputs["enum"]
+
+
 def test_verify_corpus_cli(capsys):
     assert main(["verify-corpus"]) == 0
     out = capsys.readouterr().out

@@ -8,19 +8,24 @@ import pytest
 from votepower import (
     Coalition,
     EnumerationLimitError,
+    Nationality,
+    Player,
     Quota,
     Status,
     ValidationError,
+    Weight,
+    enumerate_coalitions,
     has_veto,
     is_critical,
     is_dictator,
+    make_game,
     one_person_one_vote_power,
     power_report,
     swing_counts_dp,
     swing_counts_enum,
     swing_estimate_mc,
 )
-from votepower.engine import DpTableLimitError
+from votepower.engine import DpTableLimitError, _integer_form
 from conftest import game
 
 CRITICAL_TABLES = [
@@ -125,7 +130,8 @@ def test_de_facto_unanimity_reduces_to_equal_shares():
 
 
 def test_backend_limits():
-    g = game(51, [10] * 10)
+    # Reduced by their gcd, these weights total 100 over ten players.
+    g = game(51, [11, 9] + [10] * 8)
     with pytest.raises(EnumerationLimitError):
         swing_counts_enum(g, limit=9)
     with pytest.raises(DpTableLimitError):
@@ -134,14 +140,23 @@ def test_backend_limits():
         power_report(g, "nope")
 
 
-def test_enum_python_fallback_agrees():
-    from votepower.engine import _enum_python, _integer_form
-
-    g = game(67, [40, 30, 30])
-    weights, threshold = _integer_form(g)
-    assert [c.beta for c in _enum_python(g, weights, threshold)] == [
-        c.beta for c in swing_counts_enum(g)
+def test_enum_beyond_int64_matches_brute_force():
+    # Denominators that are distinct Mersenne primes leave a reduced total
+    # far above 2^62, so enumeration runs on Python integers.
+    primes = [2**13 - 1, 2**17 - 1, 2**19 - 1, 2**31 - 1, 2**61 - 1]
+    players = [
+        Player(f"P{i}", f"P{i}", Nationality.domestic(), Weight(whole + Fraction(1, p)))
+        for i, (whole, p) in enumerate(zip([3, 2, 2, 1, 1], primes))
     ]
+    g = make_game(Quota.of(51, 100), players)
+    assert _integer_form(g)[2] >= 2**62
+    brute = [0] * g.n
+    for coalition, _ in enumerate_coalitions(g):
+        for i, player in enumerate(g.players):
+            if coalition.contains(g, player.id) and is_critical(g, coalition, player.id):
+                brute[i] += 1
+    assert [c.beta for c in swing_counts_enum(g)] == brute
+    assert len(set(brute)) > 1
 
 
 def test_beta_bounded_by_half_powerset():

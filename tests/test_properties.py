@@ -12,14 +12,17 @@ from votepower import (
     Quota,
     Status,
     Weight,
+    enumerate_coalitions,
     has_veto,
+    is_critical,
     is_dictator,
     make_game,
     power_report,
     swing_counts_dp,
     swing_counts_enum,
+    swing_estimate_mc,
 )
-from conftest import random_game
+from conftest import QUOTA_CHOICES, random_game
 
 
 def test_dp_equals_enum_on_random_games():
@@ -140,3 +143,51 @@ def test_mixed_denominator_weights_stay_exact():
     report = power_report(g)
     assert report.normalized_vector() == (Fraction(1, 3),) * 3
     assert [c.beta for c in swing_counts_dp(g)] == [c.beta for c in swing_counts_enum(g)]
+
+
+def test_integer_lowering_matches_fraction_definitions():
+    # Mixed-denominator bp weights sharing a factor above 1, some of them
+    # zero, under quotas that often equal some coalition's weight exactly:
+    # the cases where a lowering that scaled, reduced or rounded wrongly
+    # would move a coalition across the quota.
+    rng = random.Random(2024)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        factor = rng.randint(2, 12)
+        bps = [Fraction(factor * rng.choice((0, 0, *range(1, 25))), rng.choice((1, 2, 3, 4, 7)))
+               for _ in range(n)]
+        if not any(bps):
+            bps[rng.randrange(n)] = Fraction(factor, 3)
+        members = [b for b in bps if rng.random() < 0.6 and b] or [max(bps)]
+        quota = rng.choice((Quota(sum(members) / sum(bps)), rng.choice(QUOTA_CHOICES)))
+        players = [
+            Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(b)) for i, b in enumerate(bps)
+        ]
+        g = make_game(quota, players, allow_minority_quota=True)
+
+        brute = [0] * n
+        for coalition, _ in enumerate_coalitions(g):
+            for i, player in enumerate(g.players):
+                if coalition.contains(g, player.id) and is_critical(g, coalition, player.id):
+                    brute[i] += 1
+        assert [c.beta for c in swing_counts_enum(g)] == brute, f"enum mismatch on {g}"
+        assert [c.beta for c in swing_counts_dp(g)] == brute, f"dp mismatch on {g}"
+
+        threshold = g.winning_threshold
+        total = g.total_weight.bp
+        dictators = [b >= threshold for b in bps]
+        reports = [power_report(g, "enum"), power_report(g, "dp")]
+        mc = swing_estimate_mc(g, 200, seed=5)
+        for i, player in enumerate(g.players):
+            w = bps[i]
+            veto = w < threshold and total - w < threshold
+            assert is_dictator(g, player.id) == dictators[i]
+            assert has_veto(g, player.id) == veto
+            weight_flags = {Status.DICTATOR} if dictators[i] else {Status.VETO} if veto else set()
+            exact = weight_flags | ({Status.DUMMY} if brute[i] == 0 else set())
+            assert all(report.statuses(player.id) == exact for report in reports)
+            other_dictates = quota.threshold > Fraction(1, 2) and any(
+                d for j, d in enumerate(dictators) if j != i
+            )
+            sampled = weight_flags | ({Status.DUMMY} if w == 0 or other_dictates else set())
+            assert mc.statuses(player.id) == sampled
