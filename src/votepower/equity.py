@@ -75,9 +75,13 @@ def classify_foreign_control(
     """
     if quota is not None:
         game = game.with_quota(quota)
+    return _classify(game, power_report(game, backend))
+
+
+def _classify(game: VotingGame, report: PowerReport) -> dict[str, ControlClassification]:
     if not any(p.nationality.kind is NationalityKind.DOMESTIC for p in game.players):
         raise ValidationError("no domestic players to compare against")
-    entries = list(zip(game.players, power_report(game, backend).entries))
+    entries = list(zip(game.players, report.entries))
     best_domestic = max(
         e.normalized for p, e in entries if p.nationality.kind is NationalityKind.DOMESTIC
     )

@@ -35,7 +35,7 @@ from .engine import PowerReport, Status, power_report
 from .equity import (
     ControlClassification,
     ControlTestVerdict,
-    classify_foreign_control,
+    _classify,
     control_test,
 )
 
@@ -76,9 +76,9 @@ class OwnershipGraph:
     quotas: tuple[tuple[str, Quota], ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
     _held: dict = field(init=False, repr=False, compare=False)
-    _holds: dict = field(init=False, repr=False, compare=False)
     _quota_map: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
+    _propagated: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, Entity] = {}
@@ -114,9 +114,9 @@ class OwnershipGraph:
                 raise ValidationError(f"quota given for {corp!r}, which has no stockholders")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_held", held)
-        object.__setattr__(self, "_holds", holds)
         object.__setattr__(self, "_quota_map", quota_map)
         object.__setattr__(self, "_topo", _topological_order(held, holds))
+        object.__setattr__(self, "_propagated", {})
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -139,9 +139,6 @@ class OwnershipGraph:
 
     def holdings_in(self, corporation: str) -> tuple[Holding, ...]:
         return tuple(self._held.get(corporation, ()))
-
-    def holdings_from(self, holder: str) -> tuple[Holding, ...]:
-        return tuple(self._holds.get(holder, ()))
 
 
 def _topological_order(
@@ -184,6 +181,19 @@ def make_graph(
     )
 
 
+def _grandfather_shares(graph: OwnershipGraph, target: str) -> dict[str, Fraction]:
+    # Walking the top-down order backwards, a corporation comes after every
+    # corporation it holds, so its share is final when it reaches its holders.
+    shares = {target: Fraction(1)}
+    for corporation in reversed(graph.corporations()):
+        share = shares.get(corporation)
+        if share:
+            for holding in graph.holdings_in(corporation):
+                pushed = holding.weight.bp / BP_PER_UNIT * share
+                shares[holding.holder] = shares.get(holding.holder, 0) + pushed
+    return shares
+
+
 def grandfather_equity(graph: OwnershipGraph, holder: str, target: str) -> Fraction:
     """Fractional indirect equity: the path-product sum of stakes.
 
@@ -193,18 +203,7 @@ def grandfather_equity(graph: OwnershipGraph, holder: str, target: str) -> Fract
     """
     graph.entity(holder)
     graph.entity(target)
-    memo: dict[str, Fraction] = {target: Fraction(1)}
-
-    def reach(entity_id: str) -> Fraction:
-        if entity_id in memo:
-            return memo[entity_id]
-        acc = Fraction(0)
-        for holding in graph.holdings_from(entity_id):
-            acc += holding.weight.bp / BP_PER_UNIT * reach(holding.corporation)
-        memo[entity_id] = acc
-        return acc
-
-    return reach(holder)
+    return _grandfather_shares(graph, target).get(holder, Fraction(0))
 
 
 class ControllerKind(enum.Enum):
@@ -267,8 +266,11 @@ def discrete_propagate(graph: OwnershipGraph, *, backend: str = "enum") -> tuple
     tier down is voted by that controller (transitively resolved); blocks
     that resolve to the same controller vote as one. Tiers without a
     dictator impute nothing: the intermediate corporation votes its own
-    block, and any power tie is recorded as joint control.
+    block, and any power tie is recorded as joint control. The verdicts
+    are kept on the graph, so each backend propagates a graph only once.
     """
+    if backend in graph._propagated:
+        return graph._propagated[backend]
     votes_as: dict[str, str] = {}
     verdicts = []
     for corporation in graph.corporations():
@@ -301,7 +303,7 @@ def discrete_propagate(graph: OwnershipGraph, *, backend: str = "enum") -> tuple
                 imputations=imputations,
             )
         )
-    return tuple(verdicts)
+    return graph._propagated.setdefault(backend, tuple(verdicts))
 
 
 def tier_verdict(graph: OwnershipGraph, corporation: str, *, backend: str = "enum") -> TierVerdict:
@@ -332,16 +334,15 @@ def compare_methods(graph: OwnershipGraph, target: str, *, backend: str = "enum"
     assignments differ for any entity.
     """
     tier = tier_verdict(graph, target, backend=backend)
-    holders = []
-    for holder in graph.ultimate_holders():
-        share = grandfather_equity(graph, holder, target)
-        if share > 0:
-            holders.append((holder, share))
-    holders.sort(key=lambda item: (-item[1], item[0]))
+    shares = _grandfather_shares(graph, target)
+    holders = sorted(
+        (holder for holder in graph.ultimate_holders() if shares.get(holder, 0) > 0),
+        key=lambda holder: (-shares[holder], holder),
+    )
     players = [
         Player(holder, graph.entity(holder).name, graph.entity(holder).nationality,
-               Weight(share * BP_PER_UNIT))
-        for holder, share in holders
+               Weight(shares[holder] * BP_PER_UNIT))
+        for holder in holders
     ]
     grandfather_game = make_game(graph.quota(target), players)
     grandfather_report = power_report(grandfather_game, backend)
@@ -370,15 +371,7 @@ class NationalityVerdict:
 
 def direct_game(graph: OwnershipGraph, corporation: str) -> VotingGame:
     """The target's stockholder meeting with every direct holder as itself."""
-    holdings = graph.holdings_in(corporation)
-    if not holdings:
-        raise ValidationError(f"{corporation!r} has no stockholders on record")
-    players = [
-        Player(h.holder, graph.entity(h.holder).name,
-               graph.entity(h.holder).nationality, h.weight)
-        for h in holdings
-    ]
-    return make_game(graph.quota(corporation), players)
+    return _tier_game(graph, corporation, {})[0]
 
 
 def nationality_verdict(
@@ -398,10 +391,11 @@ def nationality_verdict(
     absorbed by an upstream controller have no control).
     """
     test = control_test(direct_game(graph, target), domestic_threshold)
+    shares = _grandfather_shares(graph, target)
     domestic_share = Fraction(0)
     for holder in graph.ultimate_holders():
         if graph.entity(holder).nationality.kind is NationalityKind.DOMESTIC:
-            domestic_share += grandfather_equity(graph, holder, target)
+            domestic_share += shares.get(holder, 0)
     grandfather = (
         ControlTestVerdict.NATIONAL
         if domestic_share >= Fraction(domestic_threshold)
@@ -416,7 +410,7 @@ def nationality_verdict(
     if foreign_ids and any(
         p.nationality.kind is NationalityKind.FOREIGN for p in tier.game.players
     ):
-        classifications = classify_foreign_control(tier.game, backend=backend)
+        classifications = _classify(tier.game, tier.report)
     foreign_power = tuple(
         (holder, classifications.get(holder, ControlClassification.NO_CONTROL))
         for holder in foreign_ids

@@ -10,7 +10,7 @@ chosen interpretation, because published tables write it both ways.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -185,6 +185,7 @@ class Scenario:
     games: tuple[GameSpec, ...]
     graphs: tuple[GraphSpec, ...]
     analyses: tuple[AnalysisSpec, ...]
+    _graphs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def entity(self, entity_id: str) -> EntitySpec:
         for entity in self.entities:
@@ -223,12 +224,12 @@ class Scenario:
         return make_game(spec.quota.resolve(interpretation), players)
 
     def build_graph(self, graph_id: str, interpretation: str = "percent") -> OwnershipGraph:
+        """The graph, built once per (graph id, interpretation) and then shared."""
+        key = (graph_id, interpretation)
+        if key in self._graphs:
+            return self._graphs[key]
         spec = self.graph_spec(graph_id)
-        referenced: list[str] = []
-        for holding in spec.holdings:
-            for endpoint in (holding.holder, holding.corporation):
-                if endpoint not in referenced:
-                    referenced.append(endpoint)
+        referenced = {h.holder for h in spec.holdings} | {h.corporation for h in spec.holdings}
         entities = [
             Entity(e.id, e.name, self._nationality(e))
             for e in self.entities
@@ -239,7 +240,7 @@ class Scenario:
             for h in spec.holdings
         ]
         quotas = {corp: q.resolve(interpretation) for corp, q in spec.quotas}
-        return make_graph(entities, holdings, quotas)
+        return self._graphs.setdefault(key, make_graph(entities, holdings, quotas))
 
     def to_dict(self) -> dict:
         return {

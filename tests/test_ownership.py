@@ -289,3 +289,93 @@ def test_nationality_verdict_all_domestic():
 def test_compare_methods_unknown_target():
     with pytest.raises(ValidationError, match="no stockholders"):
         compare_methods(simple_chain(), "A")
+
+
+def test_each_graph_is_built_and_propagated_once(monkeypatch):
+    from votepower import ownership, scenario
+    from votepower.report import run_scenario
+
+    document = {
+        "schema_version": 1,
+        "entities": [{"id": x, "name": x, "nationality": n} for x, n in (
+            ("A", "domestic"), ("B", "domestic"), ("C", "foreign"),
+            ("D", "domestic"), ("E", "domestic"))],
+        "graphs": [{
+            "id": "g",
+            "holdings": [{"holder": h, "corporation": c, "weight_bp": w} for h, c, w in (
+                ("A", "D", 7000), ("B", "D", 3000), ("C", "E", 5000), ("D", "E", 5000))],
+            "quotas": [{"corporation": c, "quota": {"num": 51, "den": 100}} for c in "DE"],
+        }],
+        "analyses": [{"analysis": "discrete", "graph": "g"},
+                     {"analysis": "compare", "graph": "g", "target": "D"},
+                     {"analysis": "compare", "graph": "g", "target": "E"}],
+    }
+    calls = {"make_graph": [], "_tier_game": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name].append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(scenario, "make_graph")
+    spy(ownership, "_tier_game")
+    parsed = scenario.parse(document)
+    results = run_scenario(parsed)
+    graph = parsed.build_graph("g")
+    verdict = nationality_verdict(graph, "E", Fraction(60, 100))
+    assert len(calls["make_graph"]) == 1
+    # One propagation for all four analyses; the last game is the Control
+    # Test's direct meeting of the target.
+    tiers = [corporation for _, corporation, _ in calls["_tier_game"]]
+    assert tiers == list(graph.corporations()) + ["E"]
+    assert verdict.tier is results[0].payload.verdicts[1]
+    assert results[2].payload.comparison.tier is verdict.tier
+
+
+def test_propagation_memo_is_keyed_by_backend():
+    graph = mining_chain(Quota.of(2, 3))
+    enum = discrete_propagate(graph, backend="enum")
+    dp = discrete_propagate(graph, backend="dp")
+    mc = discrete_propagate(graph, backend="mc")
+    assert {v.report.backend for v in dp} == {"dp"}
+    assert {v.report.backend for v in mc} == {"mc"}
+    assert discrete_propagate(graph, backend="enum") is enum
+    assert [normalized_by_id(v) for v in dp] == [normalized_by_id(v) for v in enum]
+
+
+def _path_products(edges, holder, target):
+    """Every holder-to-target path's stake product, found without memo."""
+    if holder == target:
+        return [Fraction(1)]
+    return [Fraction(w, 10_000) * rest
+            for h, corp, w in edges if h == holder
+            for rest in _path_products(edges, corp, target)]
+
+
+def test_grandfather_equity_matches_path_enumeration():
+    rng = random.Random(4242)
+    diamonds = zero_weights = 0
+    for _ in range(60):
+        ids = [f"e{i}" for i in range(rng.randint(2, 8))]
+        edges = []
+        for j, corp in enumerate(ids[1:], start=1):
+            holders = [h for h in ids[:j] if rng.random() < 0.5]
+            for holder in holders:
+                weight = 0 if rng.random() < 0.15 else rng.randint(1, 10_000 // len(holders))
+                edges.append((holder, corp, weight))
+                zero_weights += weight == 0
+        held = {corp for _, corp, _ in edges}
+        rng.shuffle(edges)
+        graph = make_graph([Entity(x, x, D) for x in ids],
+                           [Holding(h, c, bp(w)) for h, c, w in edges],
+                           {c: rng.choice([Quota.percent(51), Quota.of(2, 3)]) for c in held})
+        for target in ids:
+            for holder in ids:
+                paths = _path_products(edges, holder, target)
+                diamonds += len(paths) > 1
+                assert grandfather_equity(graph, holder, target) == sum(paths, Fraction(0))
+            assert sum(grandfather_equity(graph, h, target) for h in graph.ultimate_holders()) <= 1
+    assert diamonds and zero_weights
