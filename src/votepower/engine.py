@@ -9,15 +9,19 @@ player, the swing count beta; from it come two indices:
   every other stockholder joins a coalition independently with chance 1/2.
 
 Three backends produce the counts. Exhaustive enumeration is the reference.
-The subset-sum table backend reproduces it exactly in O(N * W) time instead
-of O(2^N), W being the game's integer total weight after dividing by the
-gcd. Monte Carlo sampling estimates the absolute index with a 95%
-confidence half-width for games too large for either.
+The subset-sum table backend reproduces it exactly in O(N * T) time plus one
+window sum per distinct weight, instead of O(2^N), T being the game's least
+winning integer total after dividing the weights by their gcd. Both exact
+backends count once per distinct weight and keep the counts of recent
+reduced games, so repeated reports on one game count it once. Monte Carlo
+sampling estimates the absolute index with a 95% confidence half-width for
+games too large for either, drawing its samples in chunks of bounded size.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,12 +39,20 @@ from .core import (
 )
 
 DEFAULT_DP_TABLE_BOUND = 5_000_000
-"""Largest integer total weight, after dividing the weights by their gcd,
-for which the table backend allocates its O(total) table."""
+"""Largest integer total weight W, after dividing the weights by their gcd,
+for which the table backend runs. Its table holds only the T <= W sums below
+the least winning total, but the bound stays on the reduced W."""
 
 DEFAULT_MC_SAMPLES = 50_000
 
 _INT64_SAFE = 2**62
+
+# Exact swing counts kept per reduced game (weights, threshold), so reports
+# on the same game in one process count it once.
+_BETA_CACHE_SIZE = 256
+
+# Draw cells per Monte Carlo chunk: 4 MiB of int64 draws.
+_MC_CHUNK_CELLS = 2**19
 
 
 class DpTableLimitError(BackendLimitError):
@@ -168,18 +180,26 @@ def swing_counts_enum(
             f"{game.n} players exceeds the enumeration limit of {limit}; "
             "use the dp or mc backend instead"
         )
-    weights, threshold, total = _integer_form(game)
+    weights, threshold, _ = _integer_form(game)
+    betas = _enum_betas(weights, threshold)
+    return [SwingCount(p.id, beta) for p, beta in zip(game.players, betas)]
+
+
+@functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
+def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
     # Python integers in an object array where int64 could overflow.
-    sums = np.zeros(1, dtype=np.int64 if total < _INT64_SAFE else object)
-    for w in weights:
-        sums = np.concatenate([sums, sums + w])
-    counts = []
+    dtype = np.int64 if sum(weights) < _INT64_SAFE else object
+    # sums[m] is the weight of the coalition whose members are the set bits of m.
+    sums = np.zeros(1 << len(weights), dtype=dtype)
     for i, w in enumerate(weights):
-        # Subsets with bit i clear are the coalitions of the other players.
-        others = sums.reshape(-1, 2, 1 << i)[:, 0, :].ravel()
-        swings = int(np.count_nonzero((others >= threshold - w) & (others < threshold)))
-        counts.append(SwingCount(game.players[i].id, swings))
-    return counts
+        sums[1 << i : 2 << i] = sums[: 1 << i] + w
+    betas: dict[int, int] = {}
+    for i, w in enumerate(weights):
+        if w not in betas:
+            # Subsets with bit i clear are the coalitions of the other players.
+            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
+            betas[w] = int(np.count_nonzero((others >= threshold - w) & (others < threshold)))
+    return tuple(betas[w] for w in weights)
 
 
 def swing_counts_dp(
@@ -189,34 +209,45 @@ def swing_counts_dp(
 ) -> list[SwingCount]:
     """Count swings with a subset-sum counting table instead of enumeration.
 
-    Builds the coefficient table of prod_i (1 + x^{w_i}) over integer
-    weights, then divides out each player's own factor to count, per sum s,
-    the coalitions of the others; the swings are the coalitions with
-    T - w_i <= s < T where T is the least winning total. Output is
-    identical to :func:`swing_counts_enum` wherever both run.
+    Builds the coefficients below T of prod_i (1 + x^{w_i}) over the integer
+    weights, T being the least winning total, in O(N * T). A player of
+    weight w swings in the coalitions of the others that weigh T - w <= s < T,
+    and the others' table is this one divided by (1 + x^w); expanding that
+    division as a series turns the count into an alternating sum of windows
+    of width w over one prefix-sum array, computed once per distinct weight.
+    Output is identical to :func:`swing_counts_enum` wherever both run.
     """
     weights, threshold, total = _integer_form(game)
     if total > table_bound:
         raise DpTableLimitError(
             f"reduced total weight {total} exceeds the table bound of {table_bound}"
         )
-    counts = [0] * (total + 1)
+    betas = _dp_betas(weights, threshold)
+    return [SwingCount(p.id, beta) for p, beta in zip(game.players, betas)]
+
+
+@functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
+def _dp_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
+    # counts[s] is the number of coalitions of weight s < T. Each is at most
+    # 2^N, so int64 holds every cell and prefix sum up to N = 62.
+    counts = np.zeros(threshold, dtype=np.int64 if len(weights) <= 62 else object)
     counts[0] = 1
     for w in weights:
-        for s in range(total, w - 1, -1):
-            counts[s] += counts[s - w]
-    out = []
-    for i, w in enumerate(weights):
-        player_id = game.players[i].id
         if w == 0:
-            out.append(SwingCount(player_id, 0))
-            continue
-        others = [0] * (total + 1)
-        for s in range(total + 1):
-            others[s] = counts[s] - (others[s - w] if s >= w else 0)
-        beta = sum(others[max(0, threshold - w) : threshold])
-        out.append(SwingCount(player_id, beta))
-    return out
+            counts += counts
+        elif w < threshold:
+            # numpy reads the overlapping operand as a copy: a 0/1 step.
+            counts[w:] += counts[:-w]
+    prefix = np.concatenate(([0], np.cumsum(counts)))
+    betas = {0: 0}
+    for w in set(weights) - {0}:
+        # others = counts / (1 + x^w) = counts * (1 - x^w + x^2w - ...), so
+        # the swing window [T - w, T) of others is an alternating sum of the
+        # windows [T - (j+1)w, T - jw) of counts, clipped at 0.
+        ends = np.arange(threshold, 0, -w)
+        windows = prefix[ends] - prefix[np.maximum(ends - w, 0)]
+        betas[w] = int(windows[0::2].sum() - windows[1::2].sum())
+    return tuple(betas[w] for w in weights)
 
 
 def swing_estimate_mc(
@@ -230,18 +261,24 @@ def swing_estimate_mc(
     the assumption that all coalitions are a priori equally likely, so the
     per-player hit rate is an unbiased estimate of the absolute index.
     Results are reproducible for a fixed seed; the report carries a normal
-    95% confidence half-width per player.
+    95% confidence half-width per player. The draws come in row chunks of
+    one random stream, so memory stays bounded while the counts equal those
+    of one samples x N draw.
     """
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
     weights, threshold, _ = _integer_form(game)
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 2, size=(samples, game.n), dtype=np.int64)
-    base = draws @ np.asarray(weights, dtype=np.int64)
-    hits = []
-    for i, w in enumerate(weights):
-        others = base - draws[:, i] * w
-        hits.append(int(np.count_nonzero((others >= threshold - w) & (others < threshold))))
+    vector = np.asarray(weights, dtype=np.int64)
+    rows = max(1, _MC_CHUNK_CELLS // game.n)
+    hits = [0] * game.n
+    for start in range(0, samples, rows):
+        draws = rng.integers(0, 2, size=(min(rows, samples - start), game.n), dtype=np.int64)
+        base = draws @ vector
+        for i, w in enumerate(weights):
+            if w:
+                others = base - draws[:, i] * w
+                hits[i] += int(np.count_nonzero((others >= threshold - w) & (others < threshold)))
     total_hits = sum(hits)
     entries = []
     for player, k, statuses in zip(game.players, hits, _sampling_statuses(game)):

@@ -210,9 +210,11 @@ class Scenario:
 
     def build_game(self, game_id: str, interpretation: str = "percent") -> VotingGame:
         spec = self.game_spec(game_id)
+        entities = {e.id: e for e in self.entities}
         players = []
         for member in spec.players:
-            entity = self.entity(member.entity)
+            # Parsing validated the ids; self.entity only raises the error.
+            entity = entities.get(member.entity) or self.entity(member.entity)
             players.append(
                 Player(
                     id=entity.id,

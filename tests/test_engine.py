@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from votepower import (
@@ -25,7 +28,8 @@ from votepower import (
     swing_counts_enum,
     swing_estimate_mc,
 )
-from votepower.engine import DpTableLimitError, _integer_form
+from votepower import engine
+from votepower.engine import DpTableLimitError, _dp_betas, _integer_form
 from conftest import game
 
 CRITICAL_TABLES = [
@@ -191,3 +195,139 @@ def test_mc_dictator_probability_is_one():
 def test_mc_requires_positive_samples():
     with pytest.raises(ValidationError):
         swing_estimate_mc(game(51, [60, 40]), 0)
+
+
+def _oracle_betas(bps: list[int], quota: Quota) -> list[int]:
+    """Per player, count the coalitions of the others by a plain subset-sum
+    over their bp weights and keep the sums s with T - w <= s < T."""
+    total = sum(bps)
+    q = quota.threshold
+    threshold = -(-q.numerator * total // q.denominator)
+    betas = []
+    for i, w in enumerate(bps):
+        table = [1] + [0] * total
+        for j, other in enumerate(bps):
+            if j != i:
+                table = [a + (table[s - other] if s >= other else 0) for s, a in enumerate(table)]
+        betas.append(sum(table[max(threshold - w, 0) : threshold]))
+    return betas
+
+
+def _bp_game(bps: list[int], quota: Quota):
+    players = [
+        Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight.from_bp(w))
+        for i, w in enumerate(bps)
+    ]
+    return make_game(quota, players)
+
+
+def _wide_games():
+    rng = random.Random(20120)
+    for n in (62, 63, 64, 71, 80, 90):
+        bps = [rng.choice([0, 0, 1, 2, 2, 3, 5, 8]) for _ in range(n)]
+        total = sum(bps)
+        # A quota met exactly by the first players' weight, a majority one,
+        # and unanimity.
+        prefix = next(s for s in itertools.accumulate(bps) if 2 * s > total)
+        yield bps, Quota.of(prefix, total)
+        yield bps, Quota.of(51, 100)
+        yield bps, Quota.unanimous()
+    # A dictator whose weight alone meets the quota.
+    yield [400] + [rng.randint(0, 6) for _ in range(69)], Quota.of(51, 100)
+
+
+@pytest.mark.parametrize(
+    "bps,quota", list(_wide_games()),
+    ids=lambda case: f"n{len(case)}" if isinstance(case, list) else str(case.threshold),
+)
+def test_dp_beyond_int64_matches_subset_sum_oracle(bps, quota):
+    g = _bp_game(bps, quota)
+    assert [c.beta for c in swing_counts_dp(g)] == _oracle_betas(bps, quota)
+
+
+def test_dp_beyond_int64_cases_cover_the_edges():
+    cases = list(_wide_games())
+    # One case on each side of the int64 / object switch at 62 players.
+    assert {len(bps) for bps, _ in cases} >= {62, 63}
+    assert all(0 in bps and len(set(bps)) < len(bps) for bps, _ in cases)
+    assert any(quota == Quota.unanimous() for _, quota in cases)
+    dictator, quota = cases[-1]
+    assert dictator[0] >= quota.threshold * sum(dictator)
+    wide = [_bp_game(bps, quota) for bps, quota in cases if len(bps) >= 63]
+    assert max(c.beta for g in wide for c in swing_counts_dp(g)) > 2**63
+
+
+def test_exact_counts_are_cached_per_reduced_game():
+    from votepower.equity import float_adjust
+    from votepower.report import RunOptions, run_scenario
+    from votepower.scenario import parse
+
+    document = {
+        "schema_version": 1,
+        "entities": [{"id": x, "name": x, "nationality": n} for x, n in (
+            ("A", "foreign"), ("B", "domestic"), ("C", "domestic"), ("F", "public_float"))],
+        "games": [{"id": "m", "quota": {"num": 51, "den": 100}, "players": [
+            {"entity": e, "weight_bp": w} for e, w in (("A", 3000), ("B", 2500),
+                                                        ("C", 2500), ("F", 2000))]}],
+        "graphs": [],
+        "analyses": [{"analysis": a, "game": "m"} for a in ("power", "classify", "float_adjust")],
+    }
+    parsed = parse(document)
+    game_ = parsed.build_game("m")
+    reduced = {_integer_form(game_)[:2], _integer_form(float_adjust(game_))[:2]}
+    assert len(reduced) == 2
+    _dp_betas.cache_clear()
+    run_scenario(parsed, RunOptions(backend="dp"))
+    # power, classify and the first float_adjust report share one count.
+    info = _dp_betas.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_cached_counts_are_keyed_by_threshold():
+    weights = [20, 20, 20, 20, 20]
+    majority, supermajority = game(51, weights), game(67, weights)
+    assert [c.beta for c in swing_counts_dp(majority)] == [6] * 5
+    assert [c.beta for c in swing_counts_dp(supermajority)] == [4] * 5
+    assert [c.beta for c in swing_counts_enum(majority)] == [6] * 5
+    assert [c.beta for c in swing_counts_enum(supermajority)] == [4] * 5
+
+
+def test_limit_errors_repeat_after_a_cached_count():
+    g = game(51, [11, 9] + [10] * 8)
+    swing_counts_enum(g)
+    swing_counts_dp(g)
+    for _ in range(2):
+        with pytest.raises(EnumerationLimitError):
+            swing_counts_enum(g, limit=9)
+        with pytest.raises(DpTableLimitError):
+            swing_counts_dp(g, table_bound=10)
+
+
+def _mc_reference(g, samples: int, seed: int) -> list[int]:
+    weights, threshold, _ = _integer_form(g)
+    draws = np.random.default_rng(seed).integers(0, 2, size=(samples, g.n), dtype=np.int64)
+    base = draws @ np.asarray(weights, dtype=np.int64)
+    hits = []
+    for i, w in enumerate(weights):
+        others = base - draws[:, i] * w
+        hits.append(int(np.count_nonzero((others >= threshold - w) & (others < threshold))))
+    return hits
+
+
+def test_mc_chunks_match_one_draw_matrix(monkeypatch):
+    rng = random.Random(7)
+    g = _bp_game([rng.randint(0, 300) for _ in range(151)], Quota.of(51, 100))
+    chunk = max(1, engine._MC_CHUNK_CELLS // g.n)
+    samples = 2 * chunk + 1
+    assert swing_estimate_mc(g, samples, seed=5).beta_vector() == tuple(_mc_reference(g, samples, 5))
+    # Odd chunks of three rows, and reduced weights whose sum wraps int64.
+    monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", 3 * 5)
+    players = [
+        Player(f"P{i}", f"P{i}", Nationality.domestic(), Weight(whole + Fraction(1, 2**61 - 1)))
+        for i, whole in enumerate([3, 2, 2, 1, 1])
+    ]
+    wide = make_game(Quota.of(51, 100), players)
+    assert sum(_integer_form(wide)[0]) >= 2**63 > max(_integer_form(wide)[0])
+    for samples in (1, 3, 7, 100):
+        got = swing_estimate_mc(wide, samples, seed=9).beta_vector()
+        assert got == tuple(_mc_reference(wide, samples, 9))
