@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     except VotePowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

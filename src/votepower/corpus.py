@@ -110,9 +110,13 @@ def _match(expected: Any, actual: Any, path: str, mismatches: list[str]) -> None
 
 def verify_file(path: Path) -> list[CheckOutcome]:
     document = json.loads(path.read_text(encoding="utf-8"))
+    return verify_document(document, document.get("name", path.stem))
+
+
+def verify_document(document: dict, name: str) -> list[CheckOutcome]:
+    """Run every check of an already-decoded corpus document."""
     scenario = parse(document["scenario"])
     checks = document.get("checks", [])
-    name = document.get("name", path.stem)
     outcomes: list[CheckOutcome] = []
     cache: dict[tuple[int, str], dict] = {}
     for check in checks:

@@ -8,14 +8,15 @@ player, the swing count beta; from it come two indices:
 * absolute index: beta_i divided by 2^(N-1), the swing probability when
   every other stockholder joins a coalition independently with chance 1/2.
 
-Three backends produce the counts. Exhaustive enumeration is the reference.
-The subset-sum table backend reproduces it exactly in O(N * T) time plus one
-window sum per distinct weight, instead of O(2^N), T being the game's least
-winning integer total after dividing the weights by their gcd. Both exact
-backends count once per distinct weight and keep the counts of recent
-reduced games, so repeated reports on one game count it once. Monte Carlo
-sampling estimates the absolute index with a 95% confidence half-width for
-games too large for either, drawing its samples in chunks of bounded size.
+Three backends produce the counts, each a cached pure function of the
+lowered game, so repeated reports on one game count it once; one builder
+turns any backend's counts into a report. Exhaustive enumeration is the
+reference. The subset-sum table backend reproduces it exactly in O(N * T)
+time plus one window sum per distinct weight, instead of O(2^N), T being the
+game's least winning integer total after dividing the weights by their gcd;
+both exact backends count once per distinct weight. Monte Carlo sampling
+estimates the absolute index with a 95% confidence half-width for games too
+large for either, drawing its samples in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ DEFAULT_MC_SAMPLES = 50_000
 
 _INT64_SAFE = 2**62
 
-# Exact swing counts kept per reduced game (weights, threshold), so reports
-# on the same game in one process count it once.
+# Swing counts kept per reduced game (weights, threshold), and for mc per
+# samples and seed too, so reports on the same game in one process count it once.
 _BETA_CACHE_SIZE = 256
 
 # Draw cells per Monte Carlo chunk: 4 MiB of int64 draws.
@@ -250,58 +251,40 @@ def _dp_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
     return tuple(betas[w] for w in weights)
 
 
-def swing_estimate_mc(
-    game: VotingGame,
-    samples: int,
-    seed: int = 0,
-) -> PowerReport:
+def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerReport:
     """Estimate the absolute index by sampling coalitions of the others.
 
     Each other player joins independently with probability 1/2, matching
     the assumption that all coalitions are a priori equally likely, so the
     per-player hit rate is an unbiased estimate of the absolute index.
     Results are reproducible for a fixed seed; the report carries a normal
-    95% confidence half-width per player. The draws come in row chunks of
-    one random stream, so memory stays bounded while the counts equal those
-    of one samples x N draw.
+    95% confidence half-width per player. The hits of recent
+    (weights, T, samples, seed) draws are kept, so repeated reports on one
+    game draw it once.
     """
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
     weights, threshold, _ = _integer_form(game)
+    return _exact_report(game, _mc_hits(weights, threshold, samples, seed), "mc", samples, seed)
+
+
+@functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
+def _mc_hits(weights: tuple[int, ...], threshold: int, samples: int, seed: int) -> tuple[int, ...]:
+    # The draws come in row chunks of one random stream, so memory stays
+    # bounded while the counts equal those of one samples x N draw.
+    n = len(weights)
     rng = np.random.default_rng(seed)
     vector = np.asarray(weights, dtype=np.int64)
-    rows = max(1, _MC_CHUNK_CELLS // game.n)
-    hits = [0] * game.n
+    rows = max(1, _MC_CHUNK_CELLS // n)
+    hits = [0] * n
     for start in range(0, samples, rows):
-        draws = rng.integers(0, 2, size=(min(rows, samples - start), game.n), dtype=np.int64)
+        draws = rng.integers(0, 2, size=(min(rows, samples - start), n), dtype=np.int64)
         base = draws @ vector
         for i, w in enumerate(weights):
             if w:
                 others = base - draws[:, i] * w
                 hits[i] += int(np.count_nonzero((others >= threshold - w) & (others < threshold)))
-    total_hits = sum(hits)
-    entries = []
-    for player, k, statuses in zip(game.players, hits, _sampling_statuses(game)):
-        estimate = Fraction(k, samples)
-        p = k / samples
-        half_width = 1.96 * math.sqrt(p * (1.0 - p) / samples)
-        entries.append(
-            PlayerPower(
-                player_id=player.id,
-                beta=k,
-                normalized=Fraction(k, total_hits) if total_hits else Fraction(0),
-                absolute=estimate,
-                statuses=statuses,
-                half_width=half_width,
-            )
-        )
-    return PowerReport(
-        entries=tuple(entries),
-        total_swings=total_hits,
-        backend="mc",
-        samples=samples,
-        seed=seed,
-    )
+    return tuple(hits)
 
 
 def _weight_statuses(weight: int, threshold: int, total: int) -> set[Status]:
@@ -327,25 +310,39 @@ def _sampling_statuses(game: VotingGame) -> list[frozenset[Status]]:
     return out
 
 
-def _exact_report(game: VotingGame, counts: list[SwingCount], backend: str) -> PowerReport:
+def _exact_report(game: VotingGame, betas: list[int] | tuple[int, ...], backend: str,
+                  samples: int | None = None, seed: int | None = None) -> PowerReport:
+    """Build any backend's report from its per-player swing counts.
+
+    Exact counts are over 2^(N-1) coalitions, and beta == 0 proves a dummy.
+    Sampled hits (``samples`` set) are over the draws, carry a Wald 95%
+    half-width and take their flags from :func:`_sampling_statuses`.
+    """
     weights, threshold, total_weight = _integer_form(game)
-    total = sum(c.beta for c in counts)
-    denominator = 1 << (game.n - 1)
-    entries = []
-    for w, count in zip(weights, counts):
-        statuses = _weight_statuses(w, threshold, total_weight)
-        if count.beta == 0:
-            statuses.add(Status.DUMMY)
-        entries.append(
-            PlayerPower(
-                player_id=count.player_id,
-                beta=count.beta,
-                normalized=Fraction(count.beta, total) if total else Fraction(0),
-                absolute=Fraction(count.beta, denominator),
-                statuses=frozenset(statuses),
-            )
+    total = sum(betas)
+    if samples is None:
+        denominator = 1 << (game.n - 1)
+        flags = [
+            _weight_statuses(w, threshold, total_weight) | ({Status.DUMMY} if beta == 0 else set())
+            for w, beta in zip(weights, betas)
+        ]
+        half_widths = [None] * game.n
+    else:
+        denominator = samples
+        flags = _sampling_statuses(game)
+        half_widths = [1.96 * math.sqrt(k / samples * (1.0 - k / samples) / samples) for k in betas]
+    entries = tuple(
+        PlayerPower(
+            player_id=player.id,
+            beta=beta,
+            normalized=Fraction(beta, total) if total else Fraction(0),
+            absolute=Fraction(beta, denominator),
+            statuses=frozenset(statuses),
+            half_width=half_width,
         )
-    return PowerReport(entries=tuple(entries), total_swings=total, backend=backend)
+        for player, beta, statuses, half_width in zip(game.players, betas, flags, half_widths)
+    )
+    return PowerReport(entries, total, backend, samples, seed)
 
 
 def power_report(
@@ -354,19 +351,19 @@ def power_report(
     *,
     samples: int | None = None,
     seed: int = 0,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-    dp_table_bound: int = DEFAULT_DP_TABLE_BOUND,
 ) -> PowerReport:
     """Compute swing counts, both indices and status flags in one report.
 
-    ``backend`` selects ``"enum"``, ``"dp"`` or ``"mc"``. The exact backends
-    return exact rationals throughout; ties in the normalized index are exact
-    equalities, never within-epsilon.
+    ``backend`` selects ``"enum"``, ``"dp"`` or ``"mc"``; ``samples``
+    (default 50,000) and ``seed`` apply to ``"mc"`` only, and the exact
+    backends ignore them. The exact backends return exact rationals
+    throughout; ties in the normalized index are exact equalities, never
+    within-epsilon. All three keep their counts per reduced game.
     """
     if backend == "enum":
-        return _exact_report(game, swing_counts_enum(game, limit=enumeration_limit), "enum")
+        return _exact_report(game, [c.beta for c in swing_counts_enum(game)], "enum")
     if backend == "dp":
-        return _exact_report(game, swing_counts_dp(game, table_bound=dp_table_bound), "dp")
+        return _exact_report(game, [c.beta for c in swing_counts_dp(game)], "dp")
     if backend == "mc":
         return swing_estimate_mc(game, DEFAULT_MC_SAMPLES if samples is None else samples, seed)
     raise ValidationError(f"unknown backend {backend!r}; expected enum, dp or mc")

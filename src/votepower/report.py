@@ -113,7 +113,7 @@ class CompareResult:
 
 def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) -> Any:
     backend = options.backend
-    kwargs = {"samples": options.samples, "seed": options.seed} if backend == "mc" else {}
+    kwargs = {"samples": options.samples, "seed": options.seed}
     if spec.analysis == "power":
         game = scenario.build_game(spec.game, options.interpretation)
         return PowerResult(spec.game, game, power_report(game, backend, **kwargs))

@@ -398,7 +398,9 @@ def _parse_graph(raw: Any, path: str, entity_ids: set[str]) -> GraphSpec:
     )
 
 
-def _parse_analysis(raw: Any, path: str, game_ids: set[str], graph_ids: set[str]) -> AnalysisSpec:
+def _parse_analysis(
+    raw: Any, path: str, entity_ids: set[str], game_ids: set[str], graph_ids: set[str]
+) -> AnalysisSpec:
     obj = _expect_object(raw, path)
     kind = _expect_str(_get(obj, "analysis", path), f"{path}.analysis")
     if kind not in _ANALYSIS_FIELDS:
@@ -420,7 +422,10 @@ def _parse_analysis(raw: Any, path: str, game_ids: set[str], graph_ids: set[str]
         values["graph"] = graph
     for field_name in ("holder", "target"):
         if field_name in obj:
-            values[field_name] = _expect_str(obj[field_name], f"{path}.{field_name}")
+            entity = _expect_str(obj[field_name], f"{path}.{field_name}")
+            if entity not in entity_ids:
+                _fail(f"{path}.{field_name}", f"unknown entity {entity!r}")
+            values[field_name] = entity
     if "board_size" in obj:
         board_size = _expect_int(obj["board_size"], f"{path}.board_size")
         if board_size < 1:
@@ -463,7 +468,7 @@ def parse(document: Any) -> Scenario:
         graph_ids.add(graph.id)
         graphs.append(graph)
     analyses = [
-        _parse_analysis(raw, f"$.analyses[{i}]", game_ids, graph_ids)
+        _parse_analysis(raw, f"$.analyses[{i}]", entity_ids, game_ids, graph_ids)
         for i, raw in enumerate(_expect_array(obj.get("analyses", []), "$.analyses"))
     ]
     return Scenario(
@@ -490,7 +495,11 @@ def loads(text: str) -> Scenario:
 
 
 def load(path: str | Path) -> Scenario:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}") from exc
+    return loads(text)
 
 
 def dumps(scenario: Scenario) -> str:

@@ -96,6 +96,21 @@ def test_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 
 
+def test_run_directory_exits_2_with_one_line(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+def test_run_non_utf8_file_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(SCENARIO).encode("utf-16-le"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "scenario error: invalid UTF-8 at byte offset 0: invalid start byte\n"
+
+
 def test_run_accepts_shipped_corpus_files(capsys):
     path = corpus_dir() / "grandfather_figures.json"
     assert main(["run", str(path)]) == 0

@@ -173,6 +173,8 @@ def test_beta_bounded_by_half_powerset():
 def test_mc_is_deterministic_for_a_seed():
     g = game(51, [50, 49, 1])
     first = swing_estimate_mc(g, 5000, seed=7)
+    # Draw again rather than read the first draw back from the cache.
+    engine._mc_hits.cache_clear()
     second = swing_estimate_mc(g, 5000, seed=7)
     assert first == second
     assert swing_estimate_mc(g, 5000, seed=8) != first
@@ -257,22 +259,25 @@ def test_dp_beyond_int64_cases_cover_the_edges():
     assert max(c.beta for g in wide for c in swing_counts_dp(g)) > 2**63
 
 
+# One meeting with a public float, analysed by power, classify and float_adjust.
+MEETING = {
+    "schema_version": 1,
+    "entities": [{"id": x, "name": x, "nationality": n} for x, n in (
+        ("A", "foreign"), ("B", "domestic"), ("C", "domestic"), ("F", "public_float"))],
+    "games": [{"id": "m", "quota": {"num": 51, "den": 100}, "players": [
+        {"entity": e, "weight_bp": w} for e, w in (("A", 3000), ("B", 2500),
+                                                    ("C", 2500), ("F", 2000))]}],
+    "graphs": [],
+    "analyses": [{"analysis": a, "game": "m"} for a in ("power", "classify", "float_adjust")],
+}
+
+
 def test_exact_counts_are_cached_per_reduced_game():
     from votepower.equity import float_adjust
     from votepower.report import RunOptions, run_scenario
     from votepower.scenario import parse
 
-    document = {
-        "schema_version": 1,
-        "entities": [{"id": x, "name": x, "nationality": n} for x, n in (
-            ("A", "foreign"), ("B", "domestic"), ("C", "domestic"), ("F", "public_float"))],
-        "games": [{"id": "m", "quota": {"num": 51, "den": 100}, "players": [
-            {"entity": e, "weight_bp": w} for e, w in (("A", 3000), ("B", 2500),
-                                                        ("C", 2500), ("F", 2000))]}],
-        "graphs": [],
-        "analyses": [{"analysis": a, "game": "m"} for a in ("power", "classify", "float_adjust")],
-    }
-    parsed = parse(document)
+    parsed = parse(MEETING)
     game_ = parsed.build_game("m")
     reduced = {_integer_form(game_)[:2], _integer_form(float_adjust(game_))[:2]}
     assert len(reduced) == 2
@@ -281,6 +286,19 @@ def test_exact_counts_are_cached_per_reduced_game():
     # power, classify and the first float_adjust report share one count.
     info = _dp_betas.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_mc_counts_are_cached_per_reduced_game():
+    from votepower.report import RunOptions, run_scenario
+    from votepower.scenario import parse
+
+    engine._mc_hits.cache_clear()
+    results = run_scenario(parse(MEETING), RunOptions(backend="mc", samples=500, seed=3))
+    # classify draws its own default samples; the first float_adjust report
+    # is the power analysis's draw, read back from the cache.
+    info = engine._mc_hits.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    assert results[2].payload.report_before == results[0].payload.report
 
 
 def test_cached_counts_are_keyed_by_threshold():
@@ -322,6 +340,7 @@ def test_mc_chunks_match_one_draw_matrix(monkeypatch):
     assert swing_estimate_mc(g, samples, seed=5).beta_vector() == tuple(_mc_reference(g, samples, 5))
     # Odd chunks of three rows, and reduced weights whose sum wraps int64.
     monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", 3 * 5)
+    engine._mc_hits.cache_clear()
     players = [
         Player(f"P{i}", f"P{i}", Nationality.domestic(), Weight(whole + Fraction(1, 2**61 - 1)))
         for i, whole in enumerate([3, 2, 2, 1, 1])

@@ -112,6 +112,18 @@ def test_validation_errors_name_the_position():
         parse(bad)
 
 
+def test_unknown_holder_or_target_names_the_position():
+    graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
+             "quotas": []}
+    good = {"analysis": "grandfather", "graph": "G", "holder": "P1", "target": "P2"}
+    parse(doc(graphs=[graph], analyses=[good]))
+    for field in ("holder", "target"):
+        bad = doc(graphs=[graph], analyses=[good, dict(good, **{field: "ZZ"})])
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"^\$\.analyses\[1\]\.{field}: unknown entity 'ZZ'$"):
+            parse(bad)
+
+
 def test_supermajority_resolution_depends_on_interpretation():
     document = doc()
     document["games"][0]["quota"] = "supermajority"

@@ -17,9 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from votepower.corpus import _match
-from votepower.report import AnalysisResult, RunOptions, result_json, run_analysis
-from votepower.scenario import parse
+from votepower.corpus import verify_document
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "votepower" / "corpus"
 
@@ -80,24 +78,13 @@ def tier_expect(corporation: str, rows: list[tuple[str, tuple[int, int]]],
 
 
 def verify_and_write(document: dict) -> None:
-    scenario = parse(document["scenario"])
-    for check in document["checks"]:
-        spec = scenario.analyses[check["analysis"]]
-        for interpretation in check.get("interpretations", ["percent"]):
-            payload = run_analysis(scenario, spec, RunOptions(interpretation=interpretation))
-            actual = result_json(
-                AnalysisResult(check["analysis"], spec, interpretation, payload)
-            )
-            expect = check.get("expect", {})
-            if isinstance(expect, dict) and "by_interpretation" in expect:
-                expect = expect["by_interpretation"][interpretation]
-            mismatches: list[str] = []
-            _match(expect, actual, "$", mismatches)
-            if mismatches:
-                raise SystemExit(
-                    f"{document['name']} analysis {check['analysis']} [{interpretation}]: "
-                    + "; ".join(mismatches)
-                )
+    failed = [o for o in verify_document(document, document["name"]) if not o.passed]
+    if failed:
+        raise SystemExit("\n".join(
+            f"{o.scenario} analysis {o.analysis_index} [{o.interpretation}]: "
+            + "; ".join(o.mismatches)
+            for o in failed
+        ))
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     path = OUT_DIR / f"{document['name']}.json"
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
