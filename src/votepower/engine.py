@@ -16,7 +16,10 @@ time plus one window sum per distinct weight, instead of O(2^N), T being the
 game's least winning integer total after dividing the weights by their gcd;
 both exact backends count once per distinct weight. Monte Carlo sampling
 estimates the absolute index with a 95% confidence half-width for games too
-large for either, drawing its samples in chunks of bounded size.
+large for either, drawing its samples in chunks of bounded size. The draws
+depend only on the player count, sample count and seed, so small games with
+the same player count share one histogram of the drawn coalitions, and the
+ownership tiers' many tiny games draw once per size.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -260,31 +264,68 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
     Results are reproducible for a fixed seed; the report carries a normal
     95% confidence half-width per player. The hits of recent
     (weights, T, samples, seed) draws are kept, so repeated reports on one
-    game draw it once.
+    game draw it once. A game with no more coalitions than samples, all of
+    them fitting one draw chunk, counts each coalition once, weighted by a
+    histogram of the draws shared by every game of its size and seed; the
+    hits are those of drawing its own rows.
     """
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
+    if seed < 0:
+        raise ValidationError("seed must be a non-negative integer")
     weights, threshold, _ = _integer_form(game)
     return _exact_report(game, _mc_hits(weights, threshold, samples, seed), "mc", samples, seed)
 
 
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def _mc_hits(weights: tuple[int, ...], threshold: int, samples: int, seed: int) -> tuple[int, ...]:
-    # The draws come in row chunks of one random stream, so memory stays
-    # bounded while the counts equal those of one samples x N draw.
     n = len(weights)
-    rng = np.random.default_rng(seed)
-    vector = np.asarray(weights, dtype=np.int64)
-    rows = max(1, _MC_CHUNK_CELLS // n)
     hits = [0] * n
-    for start in range(0, samples, rows):
-        draws = rng.integers(0, 2, size=(min(rows, samples - start), n), dtype=np.int64)
-        base = draws @ vector
-        for i, w in enumerate(weights):
-            if w:
-                others = base - draws[:, i] * w
-                hits[i] += int(np.count_nonzero((others >= threshold - w) & (others < threshold)))
+    if (1 << n) <= samples and n * (1 << n) <= _MC_CHUNK_CELLS:
+        # Every coalition fits one chunk: count each once, weighted by how
+        # often the stream drew it.
+        coalitions = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        _add_swing_hits(hits, coalitions, weights, threshold, _coalition_counts(n, samples, seed))
+    else:
+        for draws in _mc_draws(n, samples, seed):
+            _add_swing_hits(hits, draws, weights, threshold)
     return tuple(hits)
+
+
+# Each entry holds 2^N int64 counts, N <= 15 at 4 MiB chunks: at most
+# 32 x 2^15 x 8 bytes = 8 MiB.
+@functools.lru_cache(maxsize=32)
+def _coalition_counts(n: int, samples: int, seed: int) -> np.ndarray:
+    """How often each of the 2^N coalitions occurs among the draws of
+    :func:`_mc_hits`; coalition m holds player i when bit i of m is set."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for draws in _mc_draws(n, samples, seed):
+        counts += np.bincount(draws @ (1 << np.arange(n)), minlength=1 << n)
+    counts.flags.writeable = False  # every caller shares the cached array
+    return counts
+
+
+def _mc_draws(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The rows of one samples x N 0/1 int64 draw, yielded in row chunks of
+    one random stream, so memory stays bounded whatever ``samples`` is."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, _MC_CHUNK_CELLS // n)
+    for start in range(0, samples, rows):
+        yield rng.integers(0, 2, size=(min(rows, samples - start), n), dtype=np.int64)
+
+
+def _add_swing_hits(hits: list[int], draws: np.ndarray, weights: tuple[int, ...],
+                    threshold: int, counts: np.ndarray | None = None) -> None:
+    # Add to each player's hits the rows in which the others' weight lets it
+    # swing; row r counts counts[r] times, or once without counts. The int64
+    # sums are the same per row on both paths, wrap included, so the hits
+    # are too. Zero-weight players never swing.
+    base = draws @ np.asarray(weights, dtype=np.int64)
+    for i, w in enumerate(weights):
+        if w:
+            others = base - draws[:, i] * w
+            swings = (others >= threshold - w) & (others < threshold)
+            hits[i] += int(np.count_nonzero(swings) if counts is None else counts[swings].sum())
 
 
 def _weight_statuses(weight: int, threshold: int, total: int) -> set[Status]:

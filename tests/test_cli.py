@@ -111,6 +111,14 @@ def test_run_non_utf8_file_exits_2_with_one_line(tmp_path, capsys):
     assert err == "scenario error: invalid UTF-8 at byte offset 0: invalid start byte\n"
 
 
+def test_run_mc_negative_seed_exits_2_with_one_line(scenario_path, capsys):
+    assert main(["run", str(scenario_path), "--backend", "mc", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: seed must be a non-negative integer\n"
+    # The exact backends ignore the seed.
+    assert main(["run", str(scenario_path), "--seed", "-1"]) == 0
+
+
 def test_run_accepts_shipped_corpus_files(capsys):
     path = corpus_dir() / "grandfather_figures.json"
     assert main(["run", str(path)]) == 0

@@ -350,3 +350,49 @@ def test_mc_chunks_match_one_draw_matrix(monkeypatch):
     for samples in (1, 3, 7, 100):
         got = swing_estimate_mc(wide, samples, seed=9).beta_vector()
         assert got == tuple(_mc_reference(wide, samples, 9))
+
+
+def _small_mc_cases():
+    rng = random.Random(2010)
+    for n in range(1, 17):
+        bps = [rng.choice([0, 1, 2, 2, 3, 5, 8]) for _ in range(n)]
+        bps[0] = max(bps[0], 1)
+        for quota in (Quota.of(51, 100), Quota.unanimous()):
+            for samples in (2**n - 1, 2**n, 2**n + 1, 2_000, 50_000):
+                yield _bp_game(bps, quota), samples
+    # Reduced weights whose sum wraps int64, through the histogram too.
+    players = [
+        Player(f"P{i}", f"P{i}", Nationality.domestic(), Weight(whole + Fraction(1, 2**61 - 1)))
+        for i, whole in enumerate([3, 2, 2, 1, 1])
+    ]
+    wide = make_game(Quota.of(51, 100), players)
+    assert sum(_integer_form(wide)[0]) >= 2**63
+    for samples in (32, 33, 2_000):
+        yield wide, samples
+
+
+def test_small_mc_games_match_one_draw_matrix(monkeypatch):
+    cases = list(_small_mc_cases())
+    lowered = [_integer_form(g)[0] for g, _ in cases]
+    # Some game has a zero weight and a repeated positive weight.
+    assert any(0 in w and len(set(w) - {0}) < len(w) - w.count(0) for w in lowered)
+    drawn = []
+    original = engine._coalition_counts
+
+    def spy(n, samples, seed):
+        drawn.append((n, samples))
+        return original(n, samples, seed)
+
+    monkeypatch.setattr(engine, "_coalition_counts", spy)
+    engine._mc_hits.cache_clear()
+    mismatches = [
+        (g.n, samples) for k, (g, samples) in enumerate(cases)
+        if swing_estimate_mc(g, samples, seed=k % 3).beta_vector()
+        != tuple(_mc_reference(g, samples, k % 3))
+    ]
+    assert mismatches == []
+    # Games with 2^n <= samples share a histogram while its 2^n x n
+    # coalitions fit one 4 MiB draw chunk (n <= 15); the rest draw rows.
+    assert set(drawn) == {(g.n, s) for g, s in cases if 2**g.n <= s and g.n <= 15}
+    assert {n for n, _ in drawn} == set(range(1, 16))
+    assert (16, 2**16 + 1) in {(g.n, s) for g, s in cases}

@@ -346,6 +346,31 @@ def test_propagation_memo_is_keyed_by_backend():
     assert [normalized_by_id(v) for v in dp] == [normalized_by_id(v) for v in enum]
 
 
+def test_mc_tier_games_draw_one_histogram_per_size():
+    from votepower import engine
+
+    entities = [Entity(x, x, D) for x in ["X1", "X2", "X3", "X4", "X5", "X6"]]
+    entities += [Entity(k, k, D) for k in ["K1", "K2", "K3", "K4", "K5", "K6"]]
+    stakes = {
+        "K1": {"X1": 10_000},
+        "K2": {"X1": 5000, "X2": 5000},
+        "K3": {"X1": 4000, "X2": 3000, "X3": 3000},
+        "K4": {"X1": 2500, "X2": 2500, "X3": 2500, "X4": 2500},
+        "K5": {"X4": 6000, "X5": 4000},
+        "K6": {"K2": 4000, "K3": 3500, "X6": 2500},
+    }
+    holdings = [Holding(h, corp, bp(w)) for corp, held in stakes.items() for h, w in held.items()]
+    graph = make_graph(entities, holdings, {corp: Quota.percent(51) for corp in stakes})
+    engine._mc_hits.cache_clear()
+    engine._coalition_counts.cache_clear()
+    verdicts = discrete_propagate(graph, backend="mc")
+    sizes = [v.game.n for v in verdicts]
+    assert sorted(sizes) == [1, 2, 2, 3, 3, 4]
+    # Every tier game of one size reads the same 50,000 draws.
+    info = engine._coalition_counts.cache_info()
+    assert (info.misses, info.hits) == (len(set(sizes)), len(sizes) - len(set(sizes)))
+
+
 def _path_products(edges, holder, target):
     """Every holder-to-target path's stake product, found without memo."""
     if holder == target:
