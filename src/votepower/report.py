@@ -28,7 +28,7 @@ from .ownership import (
     discrete_propagate,
     grandfather_equity,
 )
-from .scenario import AnalysisSpec, Scenario
+from .scenario import AnalysisSpec, Scenario, resolve_quota
 
 
 def percent_text(value: Fraction) -> str:
@@ -132,7 +132,7 @@ def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) ->
         )
     if spec.analysis == "board":
         game = scenario.build_game(spec.game, options.interpretation)
-        quota = spec.quota.resolve(options.interpretation) if spec.quota else game.quota
+        quota = resolve_quota(spec.quota, options.interpretation) if spec.quota else game.quota
         return BoardResult(
             spec.game,
             game,

@@ -3,8 +3,13 @@
 The on-disk format carries integers only: weights are integer basis points
 and quotas are integer numerator/denominator pairs, so every value
 round-trips bit-exactly. The one symbolic quota, ``"supermajority"``, is
-resolved at load time to either 67/100 or exactly 2/3 according to the
-chosen interpretation, because published tables write it both ways.
+kept as written and resolved each time a game or graph is built, to either
+67/100 or exactly 2/3 according to the chosen interpretation, because
+published tables write it both ways.
+
+``parse`` validates a decoded document into its canonical form, with every
+field in schema order, and ``Scenario.document`` keeps it: it is what
+``dumps`` writes and the only thing two scenarios compare by.
 """
 
 from __future__ import annotations
@@ -13,14 +18,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Container
 
 from .core import (
     Nationality,
     NationalityKind,
     Player,
     Quota,
-    ValidationError,
     VotePowerError,
     VotingGame,
     Weight,
@@ -36,8 +40,6 @@ _SUPERMAJORITY_QUOTA = {
     "percent": (67, 100),
     "exact-fraction": (2, 3),
 }
-
-ANALYSIS_KINDS = ("power", "classify", "float_adjust", "board", "grandfather", "discrete", "compare")
 
 _NATIONALITIES = {
     "domestic": NationalityKind.DOMESTIC,
@@ -99,72 +101,28 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
             _fail(path, f"unknown field {key!r}")
 
 
-@dataclass(frozen=True)
-class QuotaSpec:
-    """Either an exact integer pair or the symbolic supermajority."""
-
-    value: tuple[int, int] | str
-
-    @classmethod
-    def parse(cls, raw: Any, path: str) -> "QuotaSpec":
-        if raw == SUPERMAJORITY:
-            return cls(SUPERMAJORITY)
-        obj = _expect_object(raw, path)
-        _reject_unknown(obj, {"num", "den"}, path)
-        num = _expect_int(_get(obj, "num", path), f"{path}.num")
-        den = _expect_int(_get(obj, "den", path), f"{path}.den")
-        if den <= 0 or num <= 0:
-            _fail(path, "quota numerator and denominator must be positive")
-        if num > den:
-            _fail(path, "quota must not exceed 1")
-        return cls((num, den))
-
-    def resolve(self, interpretation: str) -> Quota:
-        if self.value == SUPERMAJORITY:
-            num, den = _SUPERMAJORITY_QUOTA[interpretation]
-            return Quota.of(num, den)
-        num, den = self.value
-        return Quota.of(num, den)
-
-    def to_json(self) -> Any:
-        if self.value == SUPERMAJORITY:
-            return SUPERMAJORITY
-        return {"num": self.value[0], "den": self.value[1]}
+def _parse_quota(raw: Any, path: str) -> str | dict:
+    """Either the symbolic supermajority or an exact ``{num, den}`` pair."""
+    if raw == SUPERMAJORITY:
+        return SUPERMAJORITY
+    obj = _expect_object(raw, path)
+    _reject_unknown(obj, {"num", "den"}, path)
+    num = _expect_int(_get(obj, "num", path), f"{path}.num")
+    den = _expect_int(_get(obj, "den", path), f"{path}.den")
+    if den <= 0 or num <= 0:
+        _fail(path, "quota numerator and denominator must be positive")
+    if num > den:
+        _fail(path, "quota must not exceed 1")
+    if 2 * num <= den:
+        _fail(path, "quota must exceed 1/2; one at or below half admits simultaneous dictators")
+    return {"num": num, "den": den}
 
 
-@dataclass(frozen=True)
-class EntitySpec:
-    id: str
-    name: str
-    nationality: str
-    country: str | None = None
-
-
-@dataclass(frozen=True)
-class GamePlayerSpec:
-    entity: str
-    weight_bp: int
-
-
-@dataclass(frozen=True)
-class GameSpec:
-    id: str
-    quota: QuotaSpec
-    players: tuple[GamePlayerSpec, ...]
-
-
-@dataclass(frozen=True)
-class HoldingSpec:
-    holder: str
-    corporation: str
-    weight_bp: int
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    id: str
-    holdings: tuple[HoldingSpec, ...]
-    quotas: tuple[tuple[str, QuotaSpec], ...]
+def resolve_quota(quota: str | dict, interpretation: str) -> Quota:
+    """The exact quota a parsed quota stands for under ``interpretation``."""
+    if quota == SUPERMAJORITY:
+        return Quota.of(*_SUPERMAJORITY_QUOTA[interpretation])
+    return Quota.of(quota["num"], quota["den"])
 
 
 @dataclass(frozen=True)
@@ -175,129 +133,66 @@ class AnalysisSpec:
     holder: str | None = None
     target: str | None = None
     board_size: int | None = None
-    quota: QuotaSpec | None = None
+    quota: str | dict | None = None
+
+
+_KINDS = {"entity": "entities", "game": "games", "graph": "graphs"}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: int
-    entities: tuple[EntitySpec, ...]
-    games: tuple[GameSpec, ...]
-    graphs: tuple[GraphSpec, ...]
-    analyses: tuple[AnalysisSpec, ...]
+    """A validated scenario; ``document`` is the canonical form ``dumps`` writes."""
+
+    document: dict
+    analyses: tuple[AnalysisSpec, ...] = field(init=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
     _graphs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
-    def entity(self, entity_id: str) -> EntitySpec:
-        for entity in self.entities:
-            if entity.id == entity_id:
-                return entity
-        raise ScenarioValidationError(f"unknown entity {entity_id!r}")
+    def __post_init__(self) -> None:
+        analyses = tuple(AnalysisSpec(**a) for a in self.document["analyses"])
+        object.__setattr__(self, "analyses", analyses)
+        object.__setattr__(self, "_index", {
+            kind: {item["id"]: item for item in self.document[key]}
+            for kind, key in _KINDS.items()
+        })
 
-    def game_spec(self, game_id: str) -> GameSpec:
-        for game in self.games:
-            if game.id == game_id:
-                return game
-        raise ScenarioValidationError(f"unknown game {game_id!r}")
-
-    def graph_spec(self, graph_id: str) -> GraphSpec:
-        for graph in self.graphs:
-            if graph.id == graph_id:
-                return graph
-        raise ScenarioValidationError(f"unknown graph {graph_id!r}")
-
-    def _nationality(self, spec: EntitySpec) -> Nationality:
-        return Nationality(_NATIONALITIES[spec.nationality], spec.country)
+    def _lookup(self, kind: str, item_id: str) -> dict:
+        try:
+            return self._index[kind][item_id]
+        except KeyError:
+            raise ScenarioValidationError(f"unknown {kind} {item_id!r}") from None
 
     def build_game(self, game_id: str, interpretation: str = "percent") -> VotingGame:
-        spec = self.game_spec(game_id)
-        entities = {e.id: e for e in self.entities}
+        game = self._lookup("game", game_id)
         players = []
-        for member in spec.players:
-            # Parsing validated the ids; self.entity only raises the error.
-            entity = entities.get(member.entity) or self.entity(member.entity)
-            players.append(
-                Player(
-                    id=entity.id,
-                    name=entity.name,
-                    nationality=self._nationality(entity),
-                    weight=Weight(Fraction(member.weight_bp)),
-                )
-            )
-        return make_game(spec.quota.resolve(interpretation), players)
+        for member in game["players"]:
+            entity = self._lookup("entity", member["entity"])
+            weight = Weight(Fraction(member["weight_bp"]))
+            players.append(Player(entity["id"], entity["name"], _nationality(entity), weight))
+        return make_game(resolve_quota(game["quota"], interpretation), players)
 
     def build_graph(self, graph_id: str, interpretation: str = "percent") -> OwnershipGraph:
         """The graph, built once per (graph id, interpretation) and then shared."""
         key = (graph_id, interpretation)
         if key in self._graphs:
             return self._graphs[key]
-        spec = self.graph_spec(graph_id)
-        referenced = {h.holder for h in spec.holdings} | {h.corporation for h in spec.holdings}
+        graph = self._lookup("graph", graph_id)
+        holdings = graph["holdings"]
+        referenced = {h["holder"] for h in holdings} | {h["corporation"] for h in holdings}
         entities = [
-            Entity(e.id, e.name, self._nationality(e))
-            for e in self.entities
-            if e.id in referenced
+            Entity(e["id"], e["name"], _nationality(e))
+            for e in self.document["entities"]
+            if e["id"] in referenced
         ]
-        holdings = [
-            Holding(h.holder, h.corporation, Weight(Fraction(h.weight_bp)))
-            for h in spec.holdings
-        ]
-        quotas = {corp: q.resolve(interpretation) for corp, q in spec.quotas}
-        return self._graphs.setdefault(key, make_graph(entities, holdings, quotas))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "entities": [
-                {
-                    "id": e.id,
-                    "name": e.name,
-                    "nationality": e.nationality,
-                    **({"country": e.country} if e.country is not None else {}),
-                }
-                for e in self.entities
-            ],
-            "games": [
-                {
-                    "id": g.id,
-                    "quota": g.quota.to_json(),
-                    "players": [
-                        {"entity": p.entity, "weight_bp": p.weight_bp} for p in g.players
-                    ],
-                }
-                for g in self.games
-            ],
-            "graphs": [
-                {
-                    "id": g.id,
-                    "holdings": [
-                        {
-                            "holder": h.holder,
-                            "corporation": h.corporation,
-                            "weight_bp": h.weight_bp,
-                        }
-                        for h in g.holdings
-                    ],
-                    "quotas": [
-                        {"corporation": corp, "quota": q.to_json()} for corp, q in g.quotas
-                    ],
-                }
-                for g in self.graphs
-            ],
-            "analyses": [_analysis_to_dict(a) for a in self.analyses],
-        }
+        edges = [Holding(h["holder"], h["corporation"], Weight(Fraction(h["weight_bp"])))
+                 for h in holdings]
+        quotas = {q["corporation"]: resolve_quota(q["quota"], interpretation)
+                  for q in graph["quotas"]}
+        return self._graphs.setdefault(key, make_graph(entities, edges, quotas))
 
 
-def _analysis_to_dict(spec: AnalysisSpec) -> dict:
-    out: dict[str, Any] = {"analysis": spec.analysis}
-    for key in ("game", "graph", "holder", "target"):
-        value = getattr(spec, key)
-        if value is not None:
-            out[key] = value
-    if spec.board_size is not None:
-        out["board_size"] = spec.board_size
-    if spec.quota is not None:
-        out["quota"] = spec.quota.to_json()
-    return out
+def _nationality(entity: dict) -> Nationality:
+    return Nationality(_NATIONALITIES[entity["nationality"]], entity.get("country"))
 
 
 _ANALYSIS_FIELDS: dict[str, tuple[set[str], set[str]]] = {
@@ -310,28 +205,30 @@ _ANALYSIS_FIELDS: dict[str, tuple[set[str], set[str]]] = {
     "discrete": ({"graph"}, set()),
     "compare": ({"graph", "target"}, set()),
 }
+# analysis field -> the kind of item it names
+_REFERENCES = (("game", "game"), ("graph", "graph"), ("holder", "entity"), ("target", "entity"))
 
 
-def _parse_entity(raw: Any, path: str) -> EntitySpec:
+def _parse_entity(raw: Any, path: str) -> dict:
     obj = _expect_object(raw, path)
     _reject_unknown(obj, {"id", "name", "nationality", "country"}, path)
     nationality = _expect_str(_get(obj, "nationality", path), f"{path}.nationality")
     if nationality not in _NATIONALITIES:
         _fail(f"{path}.nationality", f"expected one of {sorted(_NATIONALITIES)}, got {nationality!r}")
-    country = None
+    country = {}
     if "country" in obj:
-        country = _expect_str(obj["country"], f"{path}.country")
+        country = {"country": _expect_str(obj["country"], f"{path}.country")}
         if nationality == "public_float":
             _fail(f"{path}.country", "a public-float aggregate carries no country label")
-    return EntitySpec(
-        id=_expect_str(_get(obj, "id", path), f"{path}.id"),
-        name=_expect_str(_get(obj, "name", path), f"{path}.name"),
-        nationality=nationality,
-        country=country,
-    )
+    return {
+        "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
+        "name": _expect_str(_get(obj, "name", path), f"{path}.name"),
+        "nationality": nationality,
+        **country,
+    }
 
 
-def _parse_game(raw: Any, path: str, entity_ids: set[str]) -> GameSpec:
+def _parse_game(raw: Any, path: str, entity_ids: Container[str]) -> dict:
     obj = _expect_object(raw, path)
     _reject_unknown(obj, {"id", "quota", "players"}, path)
     players = []
@@ -349,15 +246,15 @@ def _parse_game(raw: Any, path: str, entity_ids: set[str]) -> GameSpec:
         weight = _expect_int(_get(member_obj, "weight_bp", member_path), f"{member_path}.weight_bp")
         if weight < 0:
             _fail(f"{member_path}.weight_bp", "weight must be non-negative")
-        players.append(GamePlayerSpec(entity=entity, weight_bp=weight))
-    return GameSpec(
-        id=_expect_str(_get(obj, "id", path), f"{path}.id"),
-        quota=QuotaSpec.parse(_get(obj, "quota", path), f"{path}.quota"),
-        players=tuple(players),
-    )
+        players.append({"entity": entity, "weight_bp": weight})
+    return {
+        "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
+        "quota": _parse_quota(_get(obj, "quota", path), f"{path}.quota"),
+        "players": players,
+    }
 
 
-def _parse_graph(raw: Any, path: str, entity_ids: set[str]) -> GraphSpec:
+def _parse_graph(raw: Any, path: str, entity_ids: Container[str]) -> dict:
     obj = _expect_object(raw, path)
     _reject_unknown(obj, {"id", "holdings", "quotas"}, path)
     holdings = []
@@ -369,16 +266,17 @@ def _parse_graph(raw: Any, path: str, entity_ids: set[str]) -> GraphSpec:
         corporation = _expect_str(
             _get(holding_obj, "corporation", holding_path), f"{holding_path}.corporation"
         )
-        for endpoint in (holder, corporation):
+        for field_name, endpoint in (("holder", holder), ("corporation", corporation)):
             if endpoint not in entity_ids:
-                _fail(holding_path, f"unknown entity {endpoint!r}")
+                _fail(f"{holding_path}.{field_name}", f"unknown entity {endpoint!r}")
         weight = _expect_int(
             _get(holding_obj, "weight_bp", holding_path), f"{holding_path}.weight_bp"
         )
         if weight < 0:
             _fail(f"{holding_path}.weight_bp", "weight must be non-negative")
-        holdings.append(HoldingSpec(holder=holder, corporation=corporation, weight_bp=weight))
+        holdings.append({"holder": holder, "corporation": corporation, "weight_bp": weight})
     quotas = []
+    seen: set[str] = set()
     for i, quota in enumerate(_expect_array(_get(obj, "quotas", path), f"{path}.quotas")):
         quota_path = f"{path}.quotas[{i}]"
         quota_obj = _expect_object(quota, quota_path)
@@ -387,20 +285,22 @@ def _parse_graph(raw: Any, path: str, entity_ids: set[str]) -> GraphSpec:
             _get(quota_obj, "corporation", quota_path), f"{quota_path}.corporation"
         )
         if corporation not in entity_ids:
-            _fail(quota_path, f"unknown entity {corporation!r}")
-        quotas.append(
-            (corporation, QuotaSpec.parse(_get(quota_obj, "quota", quota_path), f"{quota_path}.quota"))
-        )
-    return GraphSpec(
-        id=_expect_str(_get(obj, "id", path), f"{path}.id"),
-        holdings=tuple(holdings),
-        quotas=tuple(quotas),
-    )
+            _fail(f"{quota_path}.corporation", f"unknown entity {corporation!r}")
+        if corporation in seen:
+            _fail(f"{quota_path}.corporation", f"duplicate quota for {corporation!r}")
+        seen.add(corporation)
+        quotas.append({
+            "corporation": corporation,
+            "quota": _parse_quota(_get(quota_obj, "quota", quota_path), f"{quota_path}.quota"),
+        })
+    return {
+        "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
+        "holdings": holdings,
+        "quotas": quotas,
+    }
 
 
-def _parse_analysis(
-    raw: Any, path: str, entity_ids: set[str], game_ids: set[str], graph_ids: set[str]
-) -> AnalysisSpec:
+def _parse_analysis(raw: Any, path: str, known: dict[str, Container[str]]) -> dict:
     obj = _expect_object(raw, path)
     kind = _expect_str(_get(obj, "analysis", path), f"{path}.analysis")
     if kind not in _ANALYSIS_FIELDS:
@@ -410,30 +310,34 @@ def _parse_analysis(
     for field_name in required:
         _get(obj, field_name, path)
     values: dict[str, Any] = {"analysis": kind}
-    if "game" in obj:
-        game = _expect_str(obj["game"], f"{path}.game")
-        if game not in game_ids:
-            _fail(f"{path}.game", f"unknown game {game!r}")
-        values["game"] = game
-    if "graph" in obj:
-        graph = _expect_str(obj["graph"], f"{path}.graph")
-        if graph not in graph_ids:
-            _fail(f"{path}.graph", f"unknown graph {graph!r}")
-        values["graph"] = graph
-    for field_name in ("holder", "target"):
+    for field_name, kind in _REFERENCES:
         if field_name in obj:
-            entity = _expect_str(obj[field_name], f"{path}.{field_name}")
-            if entity not in entity_ids:
-                _fail(f"{path}.{field_name}", f"unknown entity {entity!r}")
-            values[field_name] = entity
+            item_id = _expect_str(obj[field_name], f"{path}.{field_name}")
+            if item_id not in known[kind]:
+                _fail(f"{path}.{field_name}", f"unknown {kind} {item_id!r}")
+            values[field_name] = item_id
     if "board_size" in obj:
         board_size = _expect_int(obj["board_size"], f"{path}.board_size")
         if board_size < 1:
             _fail(f"{path}.board_size", "board size must be at least 1")
         values["board_size"] = board_size
     if "quota" in obj:
-        values["quota"] = QuotaSpec.parse(obj["quota"], f"{path}.quota")
-    return AnalysisSpec(**values)
+        values["quota"] = _parse_quota(obj["quota"], f"{path}.quota")
+    return values
+
+
+def _parse_items(
+    obj: dict, kind: str, parse_item: Callable[..., dict], *context: Any
+) -> dict[str, dict]:
+    """Parse the ``entities``, ``games`` or ``graphs`` array into id -> item."""
+    key = _KINDS[kind]
+    items: dict[str, dict] = {}
+    for i, raw in enumerate(_expect_array(obj.get(key, []), f"$.{key}")):
+        item = parse_item(raw, f"$.{key}[{i}]", *context)
+        if item["id"] in items:
+            _fail(f"$.{key}[{i}].id", f"duplicate {kind} id {item['id']!r}")
+        items[item["id"]] = item
+    return items
 
 
 def parse(document: Any) -> Scenario:
@@ -443,41 +347,21 @@ def parse(document: Any) -> Scenario:
     version = _expect_int(_get(obj, "schema_version", "$"), "$.schema_version")
     if version != SCHEMA_VERSION:
         _fail("$.schema_version", f"unsupported schema version {version}")
-    entities = []
-    entity_ids: set[str] = set()
-    for i, raw in enumerate(_expect_array(obj.get("entities", []), "$.entities")):
-        entity = _parse_entity(raw, f"$.entities[{i}]")
-        if entity.id in entity_ids:
-            _fail(f"$.entities[{i}].id", f"duplicate entity id {entity.id!r}")
-        entity_ids.add(entity.id)
-        entities.append(entity)
-    games = []
-    game_ids: set[str] = set()
-    for i, raw in enumerate(_expect_array(obj.get("games", []), "$.games")):
-        game = _parse_game(raw, f"$.games[{i}]", entity_ids)
-        if game.id in game_ids:
-            _fail(f"$.games[{i}].id", f"duplicate game id {game.id!r}")
-        game_ids.add(game.id)
-        games.append(game)
-    graphs = []
-    graph_ids: set[str] = set()
-    for i, raw in enumerate(_expect_array(obj.get("graphs", []), "$.graphs")):
-        graph = _parse_graph(raw, f"$.graphs[{i}]", entity_ids)
-        if graph.id in graph_ids:
-            _fail(f"$.graphs[{i}].id", f"duplicate graph id {graph.id!r}")
-        graph_ids.add(graph.id)
-        graphs.append(graph)
+    entities = _parse_items(obj, "entity", _parse_entity)
+    games = _parse_items(obj, "game", _parse_game, entities)
+    graphs = _parse_items(obj, "graph", _parse_graph, entities)
+    known = {"entity": entities, "game": games, "graph": graphs}
     analyses = [
-        _parse_analysis(raw, f"$.analyses[{i}]", entity_ids, game_ids, graph_ids)
+        _parse_analysis(raw, f"$.analyses[{i}]", known)
         for i, raw in enumerate(_expect_array(obj.get("analyses", []), "$.analyses"))
     ]
-    return Scenario(
-        schema_version=version,
-        entities=tuple(entities),
-        games=tuple(games),
-        graphs=tuple(graphs),
-        analyses=tuple(analyses),
-    )
+    return Scenario({
+        "schema_version": version,
+        "entities": list(entities.values()),
+        "games": list(games.values()),
+        "graphs": list(graphs.values()),
+        "analyses": analyses,
+    })
 
 
 def loads(text: str) -> Scenario:
@@ -503,7 +387,7 @@ def load(path: str | Path) -> Scenario:
 
 
 def dumps(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_dict(), indent=2) + "\n"
+    return json.dumps(scenario.document, indent=2) + "\n"
 
 
 def dump(scenario: Scenario, path: str | Path) -> None:

@@ -111,6 +111,46 @@ def test_validation_errors_name_the_position():
     with pytest.raises(ScenarioValidationError, match="country"):
         parse(bad)
 
+    graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
+             "quotas": [{"corporation": "P2", "quota": {"num": 51, "den": 100}}]}
+    for field in ("holder", "corporation"):
+        holding = dict(graph["holdings"][0], **{field: "P9"})
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"^\$\.graphs\[0\]\.holdings\[0\]\.{field}: unknown entity 'P9'$"):
+            parse(doc(graphs=[dict(graph, holdings=[holding])]))
+
+    quota = dict(graph["quotas"][0], corporation="P9")
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.graphs\[0\]\.quotas\[0\]\.corporation: unknown entity 'P9'$"):
+        parse(doc(graphs=[dict(graph, quotas=[quota])]))
+
+    bad = doc()
+    bad["entities"].append(dict(bad["entities"][0]))
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.entities\[2\]\.id: duplicate entity id 'P1'$"):
+        parse(bad)
+
+    bad = doc()
+    bad["games"].append(dict(bad["games"][0]))
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.games\[1\]\.id: duplicate game id 'g'$"):
+        parse(bad)
+
+    bad = doc(graphs=[graph, graph])
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.graphs\[1\]\.id: duplicate graph id 'G'$"):
+        parse(bad)
+
+    bad = doc(analyses=[{"analysis": "power", "game": "nope"}])
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.analyses\[0\]\.game: unknown game 'nope'$"):
+        parse(bad)
+
+    bad = doc(graphs=[graph], analyses=[{"analysis": "discrete", "graph": "nope"}])
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.analyses\[0\]\.graph: unknown graph 'nope'$"):
+        parse(bad)
+
 
 def test_unknown_holder_or_target_names_the_position():
     graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
@@ -147,6 +187,97 @@ def test_build_graph_resolves_quotas(tmp_path):
     scenario = load(path)
     graph = scenario.build_graph("chain", "exact-fraction")
     assert graph.quota("P2") == Quota.of(2, 3)
+
+
+def test_repeated_graph_quota_is_rejected():
+    graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
+             "quotas": [{"corporation": "P2", "quota": {"num": 51, "den": 100}},
+                        {"corporation": "P2", "quota": {"num": 2, "den": 3}}]}
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.graphs\[0\]\.quotas\[1\]\.corporation: "
+                             r"duplicate quota for 'P2'$"):
+        parse(doc(graphs=[graph], analyses=[]))
+
+
+@pytest.mark.parametrize("num,den", [(1, 2), (50, 100), (1, 3)])
+def test_quota_at_or_below_half_is_rejected_at_its_position(num, den):
+    minority = {"num": num, "den": den}
+    bad = doc()
+    bad["games"][0]["quota"] = minority
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.games\[0\]\.quota: quota must exceed 1/2"):
+        parse(bad)
+
+    graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
+             "quotas": [{"corporation": "P2", "quota": minority}]}
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.graphs\[0\]\.quotas\[0\]\.quota: quota must exceed 1/2"):
+        parse(doc(graphs=[graph], analyses=[]))
+
+    board = {"analysis": "board", "game": "g", "board_size": 5, "quota": minority}
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.analyses\[0\]\.quota: quota must exceed 1/2"):
+        parse(doc(analyses=[board]))
+
+
+def _reversed_keys(value):
+    """The same JSON value with the keys of every object in reverse order."""
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(item) for item in value]
+    return value
+
+
+CANONICAL = """\
+{
+  "schema_version": 1,
+  "entities": [
+    {
+      "id": "P1",
+      "name": "P1",
+      "nationality": "foreign",
+      "country": "CA"
+    },
+    {
+      "id": "P2",
+      "name": "P2",
+      "nationality": "domestic"
+    }
+  ],
+  "games": [
+    {
+      "id": "g",
+      "quota": {
+        "num": 51,
+        "den": 100
+      },
+      "players": [
+        {
+          "entity": "P1",
+          "weight_bp": 6663
+        },
+        {
+          "entity": "P2",
+          "weight_bp": 3337
+        }
+      ]
+    }
+  ],
+  "graphs": [],
+  "analyses": []
+}
+"""
+
+
+def test_dumps_writes_the_canonical_document():
+    ordered = doc()
+    del ordered["graphs"], ordered["analyses"]
+    shuffled = _reversed_keys(ordered)
+    assert list(shuffled) == ["games", "entities", "schema_version"]
+    scenario = parse(shuffled)
+    assert scenario == parse(ordered)
+    assert dumps(scenario) == CANONICAL
 
 
 @pytest.mark.parametrize("value,text", [
