@@ -1,33 +1,22 @@
 """Run a scenario's analyses and render the results.
 
-Machine output carries every quantity as an exact ``{num, den}`` rational;
-the two-decimal percentage strings alongside them are presentation only and
-never feed back into computation.
+``run_analysis`` returns the body of an analysis's machine document: every
+key after the head, which ``result_json`` adds. The table is a rendering of
+that same body, so both formats carry the same numbers. Machine output
+carries every quantity as an exact ``{num, den}`` rational; the two-decimal
+percentage strings alongside them are presentation only and never feed back
+into computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from .core import VotingGame
 from .engine import PowerReport, power_report
-from .equity import (
-    ControlClassification,
-    SeatAllocation,
-    allocate_board_seats,
-    board_power,
-    classify_foreign_control,
-    float_adjust,
-)
-from .ownership import (
-    MethodComparison,
-    TierVerdict,
-    compare_methods,
-    discrete_propagate,
-    grandfather_equity,
-)
+from .equity import allocate_board_seats, board_power, classify_foreign_control, float_adjust
+from .ownership import TierVerdict, compare_methods, discrete_propagate, grandfather_equity
 from .scenario import AnalysisSpec, Scenario, resolve_quota
 
 
@@ -57,101 +46,58 @@ class AnalysisResult:
     index: int
     spec: AnalysisSpec
     interpretation: str
-    payload: Any
+    payload: dict
 
 
-@dataclass(frozen=True)
-class PowerResult:
-    game_id: str
-    game: VotingGame
-    report: PowerReport
-
-
-@dataclass(frozen=True)
-class ClassifyResult:
-    game_id: str
-    game: VotingGame
-    classifications: dict[str, ControlClassification]
-
-
-@dataclass(frozen=True)
-class FloatAdjustResult:
-    game_id: str
-    original: VotingGame
-    adjusted: VotingGame
-    report_before: PowerReport
-    report_after: PowerReport
-
-
-@dataclass(frozen=True)
-class BoardResult:
-    game_id: str
-    game: VotingGame
-    allocation: SeatAllocation
-    report: PowerReport
-
-
-@dataclass(frozen=True)
-class GrandfatherResult:
-    graph_id: str
-    holder: str
-    target: str
-    share: Fraction
-
-
-@dataclass(frozen=True)
-class DiscreteResult:
-    graph_id: str
-    verdicts: tuple[TierVerdict, ...]
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    graph_id: str
-    comparison: MethodComparison
-
-
-def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) -> Any:
+def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) -> dict:
+    """The machine document of one analysis, without its head."""
     backend = options.backend
-    kwargs = {"samples": options.samples, "seed": options.seed}
-    if spec.analysis == "power":
+
+    def power(game: VotingGame) -> dict:
+        return power_json(power_report(game, backend, samples=options.samples, seed=options.seed))
+
+    kind = spec.analysis
+    if kind in ("power", "classify", "float_adjust", "board"):
         game = scenario.build_game(spec.game, options.interpretation)
-        return PowerResult(spec.game, game, power_report(game, backend, **kwargs))
-    if spec.analysis == "classify":
-        game = scenario.build_game(spec.game, options.interpretation)
-        return ClassifyResult(spec.game, game, classify_foreign_control(game, backend=backend))
-    if spec.analysis == "float_adjust":
-        game = scenario.build_game(spec.game, options.interpretation)
-        adjusted = float_adjust(game)
-        return FloatAdjustResult(
-            spec.game,
-            game,
-            adjusted,
-            power_report(game, backend, **kwargs),
-            power_report(adjusted, backend, **kwargs),
-        )
-    if spec.analysis == "board":
-        game = scenario.build_game(spec.game, options.interpretation)
-        quota = resolve_quota(spec.quota, options.interpretation) if spec.quota else game.quota
-        return BoardResult(
-            spec.game,
-            game,
-            allocate_board_seats(game, spec.board_size),
-            board_power(game, spec.board_size, quota, backend=backend),
-        )
-    if spec.analysis == "grandfather":
+        body = {"game": spec.game, "input": game_json(game)}
+        if kind == "power":
+            body["power"] = power(game)
+        elif kind == "classify":
+            verdicts = classify_foreign_control(game, backend=backend)
+            body["classifications"] = {k: v.value for k, v in verdicts.items()}
+        elif kind == "float_adjust":
+            adjusted = float_adjust(game)
+            body |= {"adjusted": game_json(adjusted), "power_before": power(game),
+                     "power_after": power(adjusted)}
+        else:
+            quota = resolve_quota(spec.quota, options.interpretation) if spec.quota else game.quota
+            allocation = allocate_board_seats(game, spec.board_size)
+            report = board_power(game, spec.board_size, quota, backend=backend)
+            body |= {"board_size": allocation.board_size,
+                     "seats": [{"id": pid, "seats": n} for pid, n in allocation.seats],
+                     "board_power": power_json(report)}
+        return body
+    if kind == "grandfather":
         graph = scenario.build_graph(spec.graph, options.interpretation)
-        return GrandfatherResult(
-            spec.graph, spec.holder, spec.target,
-            grandfather_equity(graph, spec.holder, spec.target),
-        )
-    if spec.analysis == "discrete":
+        share = grandfather_equity(graph, spec.holder, spec.target)
+        return {"graph": spec.graph, "holder": spec.holder, "target": spec.target,
+                "share": fraction_json(share), "share_pct": percent_text(share)}
+    if kind == "discrete":
         graph = scenario.build_graph(spec.graph, options.interpretation)
-        return DiscreteResult(spec.graph, discrete_propagate(graph, backend=backend))
-    if spec.analysis == "compare":
+        return {"graph": spec.graph,
+                "tiers": [tier_json(v) for v in discrete_propagate(graph, backend=backend)]}
+    if kind == "compare":
         graph = scenario.build_graph(spec.graph, options.interpretation)
-        return CompareResult(spec.graph, compare_methods(graph, spec.target, backend=backend))
-    raise ValueError(f"unknown analysis kind {spec.analysis!r}")
+        comparison = compare_methods(graph, spec.target, backend=backend)
+        return {
+            "graph": spec.graph,
+            "target": comparison.target,
+            "grandfather_game": game_json(comparison.grandfather_game),
+            "grandfather_power": power_json(comparison.grandfather_report),
+            "discrete_tier": tier_json(comparison.tier),
+            "diverges": comparison.diverges,
+        }
+    raise ValueError(f"unknown analysis kind {kind!r}")
 
 
 def run_scenario(scenario: Scenario, options: RunOptions | None = None) -> list[AnalysisResult]:
@@ -180,7 +126,7 @@ def game_json(game: VotingGame) -> dict:
 
 
 def power_json(report: PowerReport) -> dict:
-    out: dict[str, Any] = {
+    out: dict = {
         "backend": report.backend,
         "total_swings": report.total_swings,
         "players": [
@@ -218,140 +164,83 @@ def tier_json(verdict: TierVerdict) -> dict:
 
 
 def result_json(result: AnalysisResult) -> dict:
-    """One machine-readable document per analysis."""
-    payload = result.payload
-    head = {
+    """One machine-readable document per analysis: the head, then the body."""
+    return {
         "analysis": result.spec.analysis,
         "index": result.index,
         "quota_interpretation": result.interpretation,
+        **result.payload,
     }
-    if isinstance(payload, PowerResult):
-        return {**head, "game": payload.game_id, "input": game_json(payload.game),
-                "power": power_json(payload.report)}
-    if isinstance(payload, ClassifyResult):
-        return {**head, "game": payload.game_id, "input": game_json(payload.game),
-                "classifications": {k: v.value for k, v in payload.classifications.items()}}
-    if isinstance(payload, FloatAdjustResult):
-        return {
-            **head,
-            "game": payload.game_id,
-            "input": game_json(payload.original),
-            "adjusted": game_json(payload.adjusted),
-            "power_before": power_json(payload.report_before),
-            "power_after": power_json(payload.report_after),
-        }
-    if isinstance(payload, BoardResult):
-        return {
-            **head,
-            "game": payload.game_id,
-            "input": game_json(payload.game),
-            "board_size": payload.allocation.board_size,
-            "seats": [{"id": pid, "seats": n} for pid, n in payload.allocation.seats],
-            "board_power": power_json(payload.report),
-        }
-    if isinstance(payload, GrandfatherResult):
-        return {
-            **head,
-            "graph": payload.graph_id,
-            "holder": payload.holder,
-            "target": payload.target,
-            "share": fraction_json(payload.share),
-            "share_pct": percent_text(payload.share),
-        }
-    if isinstance(payload, DiscreteResult):
-        return {**head, "graph": payload.graph_id,
-                "tiers": [tier_json(v) for v in payload.verdicts]}
-    if isinstance(payload, CompareResult):
-        comparison = payload.comparison
-        return {
-            **head,
-            "graph": payload.graph_id,
-            "target": comparison.target,
-            "grandfather_game": game_json(comparison.grandfather_game),
-            "grandfather_power": power_json(comparison.grandfather_report),
-            "discrete_tier": tier_json(comparison.tier),
-            "diverges": comparison.diverges,
-        }
-    raise TypeError(f"cannot render {type(payload).__name__}")
 
 
-def _power_table(game: VotingGame, report: PowerReport, indent: str = "") -> list[str]:
+def _power_table(game: dict, power: dict, indent: str = "") -> list[str]:
+    """Rows for a ``game_json`` document and the ``power_json`` of its game."""
     rows = []
     header = f"{'player':<28} {'weight':>9} {'beta':>6} {'power':>8} {'absolute':>9}  status"
     rows.append(indent + header)
-    for player, entry in zip(game.players, report.entries):
-        statuses = ",".join(sorted(s.value for s in entry.statuses)) or "-"
-        weight_pct = percent_text(player.weight.bp / 10_000)
+    for player, entry in zip(game["players"], power["players"]):
+        statuses = ",".join(entry["statuses"]) or "-"
         cell = (
-            f"{player.name[:28]:<28} {weight_pct + '%':>9} {entry.beta:>6} "
-            f"{percent_text(entry.normalized) + '%':>8} {percent_text(entry.absolute) + '%':>9}  {statuses}"
+            f"{player['name'][:28]:<28} {player['weight_pct'] + '%':>9} {entry['beta']:>6} "
+            f"{entry['normalized_pct'] + '%':>8} {entry['absolute_pct'] + '%':>9}  {statuses}"
         )
-        if entry.half_width is not None:
-            cell += f" (±{entry.half_width:.4f})"
+        if "half_width" in entry:
+            cell += f" (±{entry['half_width']:.4f})"
         rows.append(indent + cell)
-    rows.append(indent + f"total swings: {report.total_swings}   backend: {report.backend}")
+    rows.append(indent + f"total swings: {power['total_swings']}   backend: {power['backend']}")
     return rows
 
 
 def render_table(result: AnalysisResult) -> str:
-    payload = result.payload
+    """The table text of ``result``, read from its machine document body."""
+    body = result.payload
+    kind = result.spec.analysis
+    head = f"== {kind}"
     lines: list[str] = []
-    head = f"== {result.spec.analysis}"
-    if isinstance(payload, PowerResult):
-        lines.append(f"{head}: game {payload.game_id!r}")
-        lines += _power_table(payload.game, payload.report)
-    elif isinstance(payload, ClassifyResult):
-        lines.append(f"{head}: game {payload.game_id!r}")
-        for player_id, verdict in payload.classifications.items():
-            lines.append(f"{payload.game.player(player_id).name}: {verdict.value}")
-    elif isinstance(payload, FloatAdjustResult):
-        lines.append(f"{head}: game {payload.game_id!r}")
+    if kind == "power":
+        lines.append(f"{head}: game {body['game']!r}")
+        lines += _power_table(body["input"], body["power"])
+    elif kind == "classify":
+        lines.append(f"{head}: game {body['game']!r}")
+        names = {p["id"]: p["name"] for p in body["input"]["players"]}
+        for player_id, verdict in body["classifications"].items():
+            lines.append(f"{names[player_id]}: {verdict}")
+    elif kind == "float_adjust":
+        lines.append(f"{head}: game {body['game']!r}")
         lines.append("with public float:")
-        lines += _power_table(payload.original, payload.report_before, "  ")
+        lines += _power_table(body["input"], body["power_before"], "  ")
         lines.append("net of public float:")
-        lines += _power_table(payload.adjusted, payload.report_after, "  ")
-    elif isinstance(payload, BoardResult):
-        lines.append(f"{head}: game {payload.game_id!r}, {payload.allocation.board_size} seats")
-        seats = ", ".join(f"{pid}={n}" for pid, n in payload.allocation.seats)
-        lines.append(f"seats: {seats}")
+        lines += _power_table(body["adjusted"], body["power_after"], "  ")
+    elif kind == "board":
+        lines.append(f"{head}: game {body['game']!r}, {body['board_size']} seats")
+        lines.append("seats: " + ", ".join(f"{s['id']}={s['seats']}" for s in body["seats"]))
         lines.append("board power (nominees voting as blocs):")
-        lines += _board_table(payload)
-    elif isinstance(payload, GrandfatherResult):
-        lines.append(
-            f"{head}: {payload.holder} -> {payload.target}: "
-            f"{percent_text(payload.share)}% ({payload.share})"
-        )
-    elif isinstance(payload, DiscreteResult):
-        lines.append(f"{head}: graph {payload.graph_id!r}")
-        for verdict in payload.verdicts:
-            lines.append(f"tier {verdict.corporation}:")
-            lines += _power_table(verdict.game, verdict.report, "  ")
-            if verdict.controller is not None:
-                lines.append(f"  controller: {verdict.controller} ({verdict.controller_kind.value})")
-            elif verdict.joint_controllers:
-                lines.append(f"  joint control: {', '.join(verdict.joint_controllers)}")
-            for imputation in verdict.imputations:
-                lines.append(f"  block of {imputation.holder} voted by {imputation.voted_by}")
-    elif isinstance(payload, CompareResult):
-        comparison = payload.comparison
-        lines.append(f"{head}: graph {payload.graph_id!r}, target {comparison.target!r}")
+        # The board report's players mirror the stockholder ids with seat weights.
+        for entry in body["board_power"]["players"]:
+            lines.append(f"  {entry['id']:<28} beta={entry['beta']:<4} "
+                         f"power={entry['normalized_pct']}%")
+        lines.append(f"  total swings: {body['board_power']['total_swings']}")
+    elif kind == "grandfather":
+        share = Fraction(body["share"]["num"], body["share"]["den"])
+        lines.append(f"{head}: {body['holder']} -> {body['target']}: "
+                     f"{body['share_pct']}% ({share})")
+    elif kind == "discrete":
+        lines.append(f"{head}: graph {body['graph']!r}")
+        for tier in body["tiers"]:
+            lines.append(f"tier {tier['corporation']}:")
+            lines += _power_table(tier["game"], tier["power"], "  ")
+            if tier["controller"] is not None:
+                lines.append(f"  controller: {tier['controller']} ({tier['controller_kind']})")
+            elif tier["joint_controllers"]:
+                lines.append(f"  joint control: {', '.join(tier['joint_controllers'])}")
+            for imputation in tier["imputations"]:
+                lines.append(f"  block of {imputation['holder']} voted by {imputation['voted_by']}")
+    elif kind == "compare":
+        lines.append(f"{head}: graph {body['graph']!r}, target {body['target']!r}")
         lines.append("grandfathered fractional game:")
-        lines += _power_table(comparison.grandfather_game, comparison.grandfather_report, "  ")
+        lines += _power_table(body["grandfather_game"], body["grandfather_power"], "  ")
         lines.append("discrete tier outcome:")
-        lines += _power_table(comparison.tier.game, comparison.tier.report, "  ")
-        lines.append(f"methods {'DIVERGE' if comparison.diverges else 'agree'}")
-    else:
-        raise TypeError(f"cannot render {type(payload).__name__}")
+        tier = body["discrete_tier"]
+        lines += _power_table(tier["game"], tier["power"], "  ")
+        lines.append(f"methods {'DIVERGE' if body['diverges'] else 'agree'}")
     return "\n".join(lines)
-
-
-def _board_table(payload: BoardResult) -> list[str]:
-    # The board report's players mirror the stockholder ids with seat weights.
-    rows = []
-    for entry in payload.report.entries:
-        rows.append(
-            f"  {entry.player_id:<28} beta={entry.beta:<4} "
-            f"power={percent_text(entry.normalized)}%"
-        )
-    rows.append(f"  total swings: {payload.report.total_swings}")
-    return rows

@@ -9,7 +9,9 @@ published tables write it both ways.
 
 ``parse`` validates a decoded document into its canonical form, with every
 field in schema order, and ``Scenario.document`` keeps it: it is what
-``dumps`` writes and the only thing two scenarios compare by.
+``dumps`` writes and the only thing two scenarios compare by. ``parse``
+also builds every graph once, so a faulty graph is reported with its
+position whether or not an analysis uses it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     NationalityKind,
     Player,
     Quota,
+    ValidationError,
     VotePowerError,
     VotingGame,
     Weight,
@@ -247,6 +250,10 @@ def _parse_game(raw: Any, path: str, entity_ids: Container[str]) -> dict:
         if weight < 0:
             _fail(f"{member_path}.weight_bp", "weight must be non-negative")
         players.append({"entity": entity, "weight_bp": weight})
+    if not players:
+        _fail(f"{path}.players", "a voting game needs at least one player")
+    if sum(p["weight_bp"] for p in players) == 0:
+        _fail(f"{path}.players", "total voting weight must be positive")
     return {
         "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
         "quota": _parse_quota(_get(obj, "quota", path), f"{path}.quota"),
@@ -300,7 +307,7 @@ def _parse_graph(raw: Any, path: str, entity_ids: Container[str]) -> dict:
     }
 
 
-def _parse_analysis(raw: Any, path: str, known: dict[str, Container[str]]) -> dict:
+def _parse_analysis(raw: Any, path: str, known: dict[str, dict]) -> dict:
     obj = _expect_object(raw, path)
     kind = _expect_str(_get(obj, "analysis", path), f"{path}.analysis")
     if kind not in _ANALYSIS_FIELDS:
@@ -310,12 +317,24 @@ def _parse_analysis(raw: Any, path: str, known: dict[str, Container[str]]) -> di
     for field_name in required:
         _get(obj, field_name, path)
     values: dict[str, Any] = {"analysis": kind}
-    for field_name, kind in _REFERENCES:
+    for field_name, item_kind in _REFERENCES:
         if field_name in obj:
             item_id = _expect_str(obj[field_name], f"{path}.{field_name}")
-            if item_id not in known[kind]:
-                _fail(f"{path}.{field_name}", f"unknown {kind} {item_id!r}")
+            if item_id not in known[item_kind]:
+                _fail(f"{path}.{field_name}", f"unknown {item_kind} {item_id!r}")
             values[field_name] = item_id
+    if kind in ("grandfather", "compare"):
+        # A grandfather path runs between entities of the graph; a compare
+        # target is a corporation the graph gives stockholders.
+        holdings = known["graph"][values["graph"]]["holdings"]
+        inside = {h["corporation"] for h in holdings}
+        if kind == "grandfather":
+            inside |= {h["holder"] for h in holdings}
+        for field_name in ("holder", "target"):
+            item_id = values.get(field_name)
+            if item_id is not None and item_id not in inside:
+                what = "is not in" if kind == "grandfather" else "has no stockholders in"
+                _fail(f"{path}.{field_name}", f"{item_id!r} {what} graph {values['graph']!r}")
     if "board_size" in obj:
         board_size = _expect_int(obj["board_size"], f"{path}.board_size")
         if board_size < 1:
@@ -355,13 +374,22 @@ def parse(document: Any) -> Scenario:
         _parse_analysis(raw, f"$.analyses[{i}]", known)
         for i, raw in enumerate(_expect_array(obj.get("analyses", []), "$.analyses"))
     ]
-    return Scenario({
+    scenario = Scenario({
         "schema_version": version,
         "entities": list(entities.values()),
         "games": list(games.values()),
         "graphs": list(graphs.values()),
         "analyses": analyses,
     })
+    # Building each graph runs make_graph's checks (cycles, duplicate or
+    # oversized holdings, quotas) and fills the cache the default
+    # interpretation reads; only supermajority quotas differ by interpretation.
+    for i, graph_id in enumerate(graphs):
+        try:
+            scenario.build_graph(graph_id)
+        except ValidationError as exc:
+            _fail(f"$.graphs[{i}]", str(exc))
+    return scenario
 
 
 def loads(text: str) -> Scenario:

@@ -298,7 +298,7 @@ def test_mc_counts_are_cached_per_reduced_game():
     # is the power analysis's draw, read back from the cache.
     info = engine._mc_hits.cache_info()
     assert (info.misses, info.hits) == (3, 1)
-    assert results[2].payload.report_before == results[0].payload.report
+    assert results[2].payload["power_before"] == results[0].payload["power"]
 
 
 def test_cached_counts_are_keyed_by_threshold():

@@ -293,7 +293,7 @@ def test_compare_methods_unknown_target():
 
 def test_each_graph_is_built_and_propagated_once(monkeypatch):
     from votepower import ownership, scenario
-    from votepower.report import run_scenario
+    from votepower.report import run_scenario, tier_json
 
     document = {
         "schema_version": 1,
@@ -331,8 +331,10 @@ def test_each_graph_is_built_and_propagated_once(monkeypatch):
     # Test's direct meeting of the target.
     tiers = [corporation for _, corporation, _ in calls["_tier_game"]]
     assert tiers == list(graph.corporations()) + ["E"]
-    assert verdict.tier is results[0].payload.verdicts[1]
-    assert results[2].payload.comparison.tier is verdict.tier
+    verdicts = discrete_propagate(graph)
+    assert verdict.tier is verdicts[1]
+    assert results[0].payload["tiers"] == [tier_json(v) for v in verdicts]
+    assert results[2].payload["discrete_tier"] == tier_json(verdict.tier)
 
 
 def test_propagation_memo_is_keyed_by_backend():

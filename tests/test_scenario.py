@@ -151,10 +151,52 @@ def test_validation_errors_name_the_position():
                        match=r"^\$\.analyses\[0\]\.graph: unknown graph 'nope'$"):
         parse(bad)
 
+    # Games and graphs are checked when read, used by an analysis or not.
+    for players, message in (
+        ([], "a voting game needs at least one player"),
+        ([{"entity": "P1", "weight_bp": 0}], "total voting weight must be positive"),
+    ):
+        bad = doc()
+        bad["games"][0]["players"] = players
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"^\$\.games\[0\]\.players: {message}$"):
+            parse(bad)
+
+    edge = graph["holdings"][0]
+    for holdings, quotas, message in (
+        ([edge, edge], graph["quotas"], "duplicate holding 'P1' -> 'P2'"),
+        ([edge, dict(edge, holder="P2", corporation="P1")],
+         graph["quotas"] + [dict(graph["quotas"][0], corporation="P1")],
+         "ownership chain contains a cycle"),
+        ([dict(edge, weight_bp=10_001)], graph["quotas"], "holdings in 'P2' sum to 10001 bp"),
+        ([edge], [], "no quota recorded for corporation 'P2'"),
+        ([edge], graph["quotas"] + [dict(graph["quotas"][0], corporation="P1")],
+         "quota given for 'P1', which has no stockholders"),
+    ):
+        bad = doc(graphs=[graph, dict(graph, id="H", holdings=holdings, quotas=quotas)])
+        with pytest.raises(ScenarioValidationError, match=rf"^\$\.graphs\[1\]: {message}"):
+            parse(bad)
+
+    # Graph-relative references: a grandfather path stays inside its graph,
+    # and a compare target is a corporation with stockholders there.
+    outsider = {"id": "P3", "name": "P3", "nationality": "domestic"}
+    for analysis, field, message in (
+        ({"analysis": "grandfather", "graph": "G", "holder": "P3", "target": "P2"},
+         "holder", "'P3' is not in graph 'G'"),
+        ({"analysis": "grandfather", "graph": "G", "holder": "P1", "target": "P3"},
+         "target", "'P3' is not in graph 'G'"),
+        ({"analysis": "compare", "graph": "G", "target": "P1"},
+         "target", "'P1' has no stockholders in graph 'G'"),
+    ):
+        bad = doc(entities=MINIMAL["entities"] + [outsider], graphs=[graph], analyses=[analysis])
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"^\$\.analyses\[0\]\.{field}: {message}$"):
+            parse(bad)
+
 
 def test_unknown_holder_or_target_names_the_position():
     graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
-             "quotas": []}
+             "quotas": [{"corporation": "P2", "quota": {"num": 51, "den": 100}}]}
     good = {"analysis": "grandfather", "graph": "G", "holder": "P1", "target": "P2"}
     parse(doc(graphs=[graph], analyses=[good]))
     for field in ("holder", "target"):
