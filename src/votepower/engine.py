@@ -16,10 +16,15 @@ time plus one window sum per distinct weight, instead of O(2^N), T being the
 game's least winning integer total after dividing the weights by their gcd;
 both exact backends count once per distinct weight. Monte Carlo sampling
 estimates the absolute index with a 95% confidence half-width for games too
-large for either, drawing its samples in chunks of bounded size. The draws
-depend only on the player count, sample count and seed, so small games with
-the same player count share one histogram of the drawn coalitions, and the
-ownership tiers' many tiny games draw once per size.
+large for either. Its coalitions are the rows of
+``numpy.random.default_rng(seed).integers(0, 2, (samples, N))``, equal to
+that call cell for cell, but held at one byte per draw and one chunk of
+bounded size at a time; each row's weight is exact in integers for any
+weights, and a player is checked only in the rows whose weight lies within
+its own weight of T. The draws depend only on the player count, sample
+count and seed, so small games with the same player count share one
+histogram of the drawn coalitions, and the ownership tiers' many tiny games
+draw once per size.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ _INT64_SAFE = 2**62
 # samples and seed too, so reports on the same game in one process count it once.
 _BETA_CACHE_SIZE = 256
 
-# Draw cells per Monte Carlo chunk: 4 MiB of int64 draws.
+# Draw cells per Monte Carlo chunk, one byte each, and the raw 64-bit words
+# (two cells each) read at a time: 512 KiB of each.
 _MC_CHUNK_CELLS = 2**19
+_MC_RAW_WORDS = 2**16
 
 
 class DpTableLimitError(BackendLimitError):
@@ -261,6 +268,11 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
     Each other player joins independently with probability 1/2, matching
     the assumption that all coalitions are a priori equally likely, so the
     per-player hit rate is an unbiased estimate of the absolute index.
+    The coalitions drawn are the rows of
+    ``numpy.random.default_rng(seed).integers(0, 2, (samples, N))``, the
+    same for any chunking; they are held one byte per draw, at most
+    ``_MC_CHUNK_CELLS`` bytes at a time, and every swing is decided in exact
+    integers whatever the weights.
     Results are reproducible for a fixed seed; the report carries a normal
     95% confidence half-width per player. The hits of recent
     (weights, T, samples, seed) draws are kept, so repeated reports on one
@@ -292,7 +304,7 @@ def _mc_hits(weights: tuple[int, ...], threshold: int, samples: int, seed: int) 
     return tuple(hits)
 
 
-# Each entry holds 2^N int64 counts, N <= 15 at 4 MiB chunks: at most
+# Each entry holds 2^N int64 counts, N <= 15 at 2^19-cell chunks: at most
 # 32 x 2^15 x 8 bytes = 8 MiB.
 @functools.lru_cache(maxsize=32)
 def _coalition_counts(n: int, samples: int, seed: int) -> np.ndarray:
@@ -300,32 +312,90 @@ def _coalition_counts(n: int, samples: int, seed: int) -> np.ndarray:
     :func:`_mc_hits`; coalition m holds player i when bit i of m is set."""
     counts = np.zeros(1 << n, dtype=np.int64)
     for draws in _mc_draws(n, samples, seed):
-        counts += np.bincount(draws @ (1 << np.arange(n)), minlength=1 << n)
+        counts += np.bincount(np.einsum("ij,j->i", draws, 1 << np.arange(n)), minlength=1 << n)
     counts.flags.writeable = False  # every caller shares the cached array
     return counts
 
 
 def _mc_draws(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The rows of one samples x N 0/1 int64 draw, yielded in row chunks of
-    one random stream, so memory stays bounded whatever ``samples`` is."""
-    rng = np.random.default_rng(seed)
+    """The rows of ``default_rng(seed).integers(0, 2, (samples, N))``,
+    yielded in uint8 row chunks of one byte per draw and at most
+    ``_MC_CHUNK_CELLS`` bytes, so memory stays bounded whatever ``samples``
+    is; the raw words behind a chunk are read ``_MC_RAW_WORDS`` at a time.
+
+    The concatenated chunks equal that call cell for cell: for two values
+    numpy returns the top bit of one 32-bit draw, and PCG64 serves 32-bit
+    draws as the low, then the high half of each raw 64-bit word. So each
+    cell is the sign bit of one little-endian half of ``random_raw``; a
+    chunk that ends within a word leaves its high half to the next.
+    """
+    bits = np.random.default_rng(seed).bit_generator
     rows = max(1, _MC_CHUNK_CELLS // n)
+    spare = np.empty(0, dtype="<i4")  # the unread high half of the last word
     for start in range(0, samples, rows):
-        yield rng.integers(0, 2, size=(min(rows, samples - start), n), dtype=np.int64)
+        chunk = np.empty(min(rows, samples - start) * n, dtype=bool)
+        np.less(spare, 0, out=chunk[:spare.size])
+        drawn, spare = spare.size, spare[:0]
+        while drawn < chunk.size:
+            words = bits.random_raw(min(_MC_RAW_WORDS, (chunk.size - drawn + 1) // 2))
+            halves = words.astype("<u8", copy=False).view("<i4")
+            take = min(halves.size, chunk.size - drawn)
+            np.less(halves[:take], 0, out=chunk[drawn:drawn + take])
+            spare = halves[take:].copy()  # a copy, so the words can be freed
+            drawn += take
+        yield chunk.view(np.uint8).reshape(-1, n)
+
+
+def _row_offsets(draws: np.ndarray, weights: tuple[int, ...], threshold: int) -> np.ndarray:
+    """Each row's weight minus T, exact.
+
+    An int64 array while every weight fits int64: an offset past the int64
+    range is clipped to it, which keeps it beyond every weight, where no
+    player swings. Python integers when some weight does not fit.
+    """
+    if sum(weights) < 2**63:
+        return np.einsum("ij,j->i", draws, np.asarray(weights, dtype=np.int64)) - threshold
+    # Sum the 32-bit limbs of the weights apart; each sum is below N * 2^32.
+    mask = 2**32 - 1
+    top = max(weights).bit_length()
+    limbs = [np.einsum("ij,j->i", draws, np.array([w >> shift & mask for w in weights]))
+             for shift in range(0, 64 if top < 64 else top, 32)]
+    if top >= 64:
+        return sum(limb.astype(object) << 32 * k for k, limb in enumerate(limbs)) - threshold
+    low, high = limbs
+    low -= threshold & mask
+    high += (low >> 32) - (threshold >> 32)
+    # offset = high * 2^32 + (low & mask), which fits int64 iff high fits int32.
+    offsets = (high << 32) | (low & mask)
+    offsets[high >= 2**31] = np.iinfo(np.int64).max
+    offsets[high < -(2**31)] = np.iinfo(np.int64).min
+    return offsets
 
 
 def _add_swing_hits(hits: list[int], draws: np.ndarray, weights: tuple[int, ...],
                     threshold: int, counts: np.ndarray | None = None) -> None:
-    # Add to each player's hits the rows in which the others' weight lets it
-    # swing; row r counts counts[r] times, or once without counts. The int64
-    # sums are the same per row on both paths, wrap included, so the hits
-    # are too. Zero-weight players never swing.
-    base = draws @ np.asarray(weights, dtype=np.int64)
-    for i, w in enumerate(weights):
-        if w:
-            others = base - draws[:, i] * w
-            swings = (others >= threshold - w) & (others < threshold)
-            hits[i] += int(np.count_nonzero(swings) if counts is None else counts[swings].sum())
+    # Add to each player's hits the rows in which it swings; row r counts
+    # counts[r] times, or once without counts. With x the row's weight
+    # minus T, a member swings when 0 <= x < w and a non-member when
+    # -w <= x < 0: the player's draw must equal (x >= 0), and w must exceed
+    # the gap g = x or -x - 1. Sorting the rows with g below the largest
+    # weight by g makes player i's rows a prefix, cut where g reaches w_i;
+    # players with the same prefix are counted together.
+    offsets = _row_offsets(draws, weights, threshold)
+    inside = offsets >= 0
+    gaps = np.where(inside, offsets, -1 - offsets)
+    near = np.flatnonzero(gaps < max(weights))
+    near = near[np.argsort(gaps[near])]
+    side = inside[near]
+    prefixes: dict[int, list[int]] = {}
+    for i, k in enumerate(np.searchsorted(gaps[near], weights).tolist()):
+        if k:
+            prefixes.setdefault(k, []).append(i)
+    for k, players in prefixes.items():
+        aligned = draws[near[:k, None], players] == side[:k, None]
+        sums = aligned.sum(axis=0) if counts is None else counts[near[:k]] @ aligned
+        for i, h in zip(players, sums.tolist()):
+            hits[i] += h
 
 
 def _weight_statuses(weight: int, threshold: int, total: int) -> set[Status]:

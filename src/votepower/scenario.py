@@ -175,11 +175,13 @@ class Scenario:
         return make_game(resolve_quota(game["quota"], interpretation), players)
 
     def build_graph(self, graph_id: str, interpretation: str = "percent") -> OwnershipGraph:
-        """The graph, built once per (graph id, interpretation) and then shared."""
-        key = (graph_id, interpretation)
+        """The graph, built once and then shared: once per interpretation
+        when one of its quotas is the supermajority, else once."""
+        graph = self._lookup("graph", graph_id)
+        varies = any(q["quota"] == SUPERMAJORITY for q in graph["quotas"])
+        key = (graph_id, interpretation if varies else None)
         if key in self._graphs:
             return self._graphs[key]
-        graph = self._lookup("graph", graph_id)
         holdings = graph["holdings"]
         referenced = {h["holder"] for h in holdings} | {h["corporation"] for h in holdings}
         entities = [

@@ -396,3 +396,71 @@ def test_small_mc_games_match_one_draw_matrix(monkeypatch):
     assert set(drawn) == {(g.n, s) for g, s in cases if 2**g.n <= s and g.n <= 15}
     assert {n for n, _ in drawn} == set(range(1, 16))
     assert (16, 2**16 + 1) in {(g.n, s) for g, s in cases}
+
+
+@pytest.mark.parametrize("cells, words", [(None, None), (3 * 5, None), (7, 3), (1, None)])
+@pytest.mark.parametrize("n", [1, 2, 5, 150, 151])
+def test_mc_draws_are_the_generator_stream(monkeypatch, n, cells, words):
+    # Chunks of odd cell counts leave half a raw word to the next chunk, a
+    # one-cell chunk may be that half alone, and small raw reads split one
+    # chunk across several.
+    if cells is not None:
+        monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", cells)
+    if words is not None:
+        monkeypatch.setattr(engine, "_MC_RAW_WORDS", words)
+    rows = max(1, engine._MC_CHUNK_CELLS // n)
+    for samples in (1, 3, 2 * rows + 1):
+        chunks = list(engine._mc_draws(n, samples, 11))
+        assert all(c.dtype == np.uint8 and c.nbytes <= 2**21 for c in chunks)
+        expected = np.random.default_rng(11).integers(0, 2, size=(samples, n), dtype=np.int64)
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+
+def _exact_hits(weights, threshold, samples, seed):
+    """Swing hits over the draws of one samples x N matrix, in Python ints."""
+    draws = np.random.default_rng(seed).integers(0, 2, size=(samples, len(weights))).tolist()
+    hits = [0] * len(weights)
+    for row in draws:
+        total = sum(w for w, d in zip(weights, row) if d)
+        for i, (w, d) in enumerate(zip(weights, row)):
+            others = total - w if d else total
+            hits[i] += threshold - w <= others < threshold
+    return hits
+
+
+def _wide_mc_cases():
+    rng = random.Random(2**64)
+    for k in range(24):
+        n = rng.choice([3, 6, 9, 20])
+        # Magnitudes from tiny to int64's largest, and past it for some games.
+        top = 63 if k % 3 else 70
+        weights = [0]
+        while sum(weights) < 2**64:
+            weights = [rng.randrange(2 ** rng.choice([3, 31, 33, 61, top])) for _ in range(n)]
+            weights[rng.randrange(n)] = 2**63 - 1
+            # Equal heavy weights make rows land near the threshold.
+            weights[rng.randrange(n)] = weights[rng.randrange(n)]
+        q = rng.choice([Fraction(51, 100), Fraction(2, 3), Fraction(1, 2), Fraction(1)])
+        threshold = -(-q.numerator * sum(weights) // q.denominator)
+        for samples in (min(2**n - 1, 300), 600):
+            yield tuple(weights), threshold, samples, k
+    # Weights of exactly 64 bits: past int64, yet two 32-bit limbs each.
+    band = [(2**64 - 1, 2**64 - 2, 2**64 - 3, 2**64 - 5), (2**63, 2**63 - 1, 2**63 + 7, 3, 2**62)]
+    for weights in band:
+        threshold = -(-51 * sum(weights) // 100)
+        for samples in (2 ** len(weights) - 1, 600):
+            yield weights, threshold, samples, 7
+
+
+def test_mc_hits_are_exact_on_wide_games():
+    cases = list(_wide_mc_cases())
+    assert all(sum(w) >= 2**64 for w, *_ in cases)
+    # Both the row path and the histogram path, and weights past int64.
+    assert {2**n <= s for w, _, s, _ in cases for n in [len(w)]} == {True, False}
+    assert any(max(w) >= 2**63 for w, *_ in cases)
+    assert any(max(w).bit_length() == 64 for w, *_ in cases)
+    engine._mc_hits.cache_clear()
+    mismatches = [case for case in cases if list(engine._mc_hits(*case)) != _exact_hits(*case)]
+    assert mismatches == []
+    # The cases are not vacuous: the big players swing in some rows.
+    assert sum(sum(engine._mc_hits(*case)) > 0 for case in cases) > len(cases) // 2

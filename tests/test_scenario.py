@@ -231,6 +231,31 @@ def test_build_graph_resolves_quotas(tmp_path):
     assert graph.quota("P2") == Quota.of(2, 3)
 
 
+@pytest.mark.parametrize("name, builds", [
+    ("mining_chains", {"percent": 6, "exact-fraction": 9}),
+    ("grandfather_figures", {"percent": 2, "exact-fraction": 2}),
+])
+def test_graphs_without_a_supermajority_are_built_once(monkeypatch, name, builds):
+    # Only a supermajority quota reads differently under the two
+    # interpretations, so the other graphs are built once, at parse.
+    from votepower import scenario as scenario_module
+    from votepower.report import RunOptions, run_scenario
+
+    calls = []
+    real = scenario_module.make_graph
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scenario_module, "make_graph", spy)
+    document = json.loads((corpus_dir() / f"{name}.json").read_text())["scenario"]
+    for interpretation, expected in builds.items():
+        calls.clear()
+        run_scenario(parse(document), RunOptions(interpretation=interpretation))
+        assert len(calls) == expected
+
+
 def test_repeated_graph_quota_is_rejected():
     graph = {"id": "G", "holdings": [{"holder": "P1", "corporation": "P2", "weight_bp": 6000}],
              "quotas": [{"corporation": "P2", "quota": {"num": 51, "den": 100}},
