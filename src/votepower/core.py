@@ -37,7 +37,7 @@ class UnknownPlayerError(VotePowerError, LookupError):
 
 
 class BackendLimitError(VotePowerError):
-    """The requested computation exceeds the backend's configured bound."""
+    """The requested computation exceeds the backend's fixed bound."""
 
 
 class EnumerationLimitError(BackendLimitError):
@@ -78,7 +78,7 @@ class Nationality:
         return cls(NationalityKind.PUBLIC_FLOAT)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Weight:
     """A voting weight in basis points, always an exact non-negative rational."""
 
@@ -111,12 +111,6 @@ class Weight:
         if total.bp == 0:
             raise ValidationError("cannot take a share of a zero total weight")
         return self.bp / total.bp
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.bp + other.bp)
-
-    def __bool__(self) -> bool:
-        return self.bp != 0
 
 
 @dataclass(frozen=True)
@@ -287,22 +281,25 @@ def is_winning(game: VotingGame, coalition: Coalition) -> bool:
     return coalition.weight(game).bp >= game.winning_threshold
 
 
-def enumerate_coalitions(
-    game: VotingGame,
-    *,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Iterator[tuple[Coalition, bool]]:
+def _check_enumeration_limit(n: int) -> None:
+    """Refuse to enumerate the coalitions of more than
+    ``DEFAULT_ENUMERATION_LIMIT`` players."""
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"{n} players exceeds the enumeration limit of {DEFAULT_ENUMERATION_LIMIT}; "
+            "use the dp or mc backend instead"
+        )
+
+
+def enumerate_coalitions(game: VotingGame) -> Iterator[tuple[Coalition, bool]]:
     """Yield every nonempty coalition with its outcome, 2^N - 1 in all.
 
     Streams in Gray-code order so the running weight changes by one player
-    per step; memory stays constant regardless of N.
+    per step; memory stays constant regardless of N. Raises
+    :class:`EnumerationLimitError` above ``DEFAULT_ENUMERATION_LIMIT`` players.
     """
     n = game.n
-    if n > limit:
-        raise EnumerationLimitError(
-            f"{n} players exceeds the enumeration limit of {limit}; "
-            "use the dp or mc backend instead"
-        )
+    _check_enumeration_limit(n)
     threshold = game.winning_threshold
     weights = [p.weight.bp for p in game.players]
     mask = 0

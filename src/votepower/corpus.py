@@ -26,9 +26,8 @@ def corpus_dir() -> Path:
     return Path(resources.files("votepower") / "corpus")
 
 
-def corpus_names(directory: Path | None = None) -> list[str]:
-    directory = directory or corpus_dir()
-    return sorted(p.stem for p in directory.glob("*.json"))
+def corpus_names() -> list[str]:
+    return sorted(p.stem for p in corpus_dir().glob("*.json"))
 
 
 @dataclass(frozen=True)
@@ -155,14 +154,9 @@ def verify_document(document: dict, name: str) -> list[CheckOutcome]:
     return outcomes
 
 
-def verify_corpus(
-    subset: list[str] | None = None,
-    *,
-    directory: Path | None = None,
-) -> CorpusReport:
+def verify_corpus(subset: list[str] | None = None) -> CorpusReport:
     """Recompute every golden table in the corpus and diff the results."""
-    directory = directory or corpus_dir()
-    names = corpus_names(directory)
+    names = corpus_names()
     if subset:
         unknown = sorted(set(subset) - set(names))
         if unknown:
@@ -170,5 +164,5 @@ def verify_corpus(
         names = [n for n in names if n in subset]
     report = CorpusReport()
     for name in names:
-        report.outcomes.extend(verify_file(directory / f"{name}.json"))
+        report.outcomes.extend(verify_file(corpus_dir() / f"{name}.json"))
     return report

@@ -39,12 +39,11 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    DEFAULT_ENUMERATION_LIMIT,
     BackendLimitError,
     Coalition,
-    EnumerationLimitError,
     ValidationError,
     VotingGame,
+    _check_enumeration_limit,
     is_winning,
 )
 
@@ -68,19 +67,13 @@ _MC_RAW_WORDS = 2**16
 
 
 class DpTableLimitError(BackendLimitError):
-    """Integer weight magnitude exceeds the configured table bound."""
+    """The reduced total weight exceeds the fixed table bound."""
 
 
 class Status(enum.Enum):
     DICTATOR = "dictator"
     DUMMY = "dummy"
     VETO = "veto"
-
-
-@dataclass(frozen=True)
-class SwingCount:
-    player_id: str
-    beta: int
 
 
 @dataclass(frozen=True)
@@ -181,20 +174,13 @@ def _integer_form(game: VotingGame) -> tuple[tuple[int, ...], int, int]:
     return game._lowered
 
 
-def swing_counts_enum(
-    game: VotingGame,
-    *,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> list[SwingCount]:
-    """Count swings by checking every coalition. The reference backend."""
-    if game.n > limit:
-        raise EnumerationLimitError(
-            f"{game.n} players exceeds the enumeration limit of {limit}; "
-            "use the dp or mc backend instead"
-        )
-    weights, threshold, _ = _integer_form(game)
-    betas = _enum_betas(weights, threshold)
-    return [SwingCount(p.id, beta) for p, beta in zip(game.players, betas)]
+def swing_counts_enum(game: VotingGame) -> tuple[int, ...]:
+    """Each player's swing count beta, in player order, by checking every
+    coalition. The reference backend; it raises
+    :class:`EnumerationLimitError` above ``DEFAULT_ENUMERATION_LIMIT`` players.
+    """
+    _check_enumeration_limit(game.n)
+    return _enum_betas(*_integer_form(game)[:2])
 
 
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
@@ -214,12 +200,9 @@ def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
     return tuple(betas[w] for w in weights)
 
 
-def swing_counts_dp(
-    game: VotingGame,
-    *,
-    table_bound: int = DEFAULT_DP_TABLE_BOUND,
-) -> list[SwingCount]:
-    """Count swings with a subset-sum counting table instead of enumeration.
+def swing_counts_dp(game: VotingGame) -> tuple[int, ...]:
+    """Each player's swing count beta, in player order, from a subset-sum
+    counting table instead of enumeration.
 
     Builds the coefficients below T of prod_i (1 + x^{w_i}) over the integer
     weights, T being the least winning total, in O(N * T). A player of
@@ -227,15 +210,16 @@ def swing_counts_dp(
     and the others' table is this one divided by (1 + x^w); expanding that
     division as a series turns the count into an alternating sum of windows
     of width w over one prefix-sum array, computed once per distinct weight.
-    Output is identical to :func:`swing_counts_enum` wherever both run.
+    Output is identical to :func:`swing_counts_enum` wherever both run. It
+    raises :class:`DpTableLimitError` when the reduced total weight exceeds
+    ``DEFAULT_DP_TABLE_BOUND``.
     """
     weights, threshold, total = _integer_form(game)
-    if total > table_bound:
+    if total > DEFAULT_DP_TABLE_BOUND:
         raise DpTableLimitError(
-            f"reduced total weight {total} exceeds the table bound of {table_bound}"
+            f"reduced total weight {total} exceeds the table bound of {DEFAULT_DP_TABLE_BOUND}"
         )
-    betas = _dp_betas(weights, threshold)
-    return [SwingCount(p.id, beta) for p, beta in zip(game.players, betas)]
+    return _dp_betas(weights, threshold)
 
 
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
@@ -421,7 +405,7 @@ def _sampling_statuses(game: VotingGame) -> list[frozenset[Status]]:
     return out
 
 
-def _exact_report(game: VotingGame, betas: list[int] | tuple[int, ...], backend: str,
+def _exact_report(game: VotingGame, betas: tuple[int, ...], backend: str,
                   samples: int | None = None, seed: int | None = None) -> PowerReport:
     """Build any backend's report from its per-player swing counts.
 
@@ -472,9 +456,9 @@ def power_report(
     within-epsilon. All three keep their counts per reduced game.
     """
     if backend == "enum":
-        return _exact_report(game, [c.beta for c in swing_counts_enum(game)], "enum")
+        return _exact_report(game, swing_counts_enum(game), "enum")
     if backend == "dp":
-        return _exact_report(game, [c.beta for c in swing_counts_dp(game)], "dp")
+        return _exact_report(game, swing_counts_dp(game), "dp")
     if backend == "mc":
         return swing_estimate_mc(game, DEFAULT_MC_SAMPLES if samples is None else samples, seed)
     raise ValidationError(f"unknown backend {backend!r}; expected enum, dp or mc")

@@ -59,10 +59,7 @@ def control_test(game: VotingGame, domestic_threshold: Fraction) -> ControlTestV
 
 
 def classify_foreign_control(
-    game: VotingGame,
-    quota: Quota | None = None,
-    *,
-    backend: str = "enum",
+    game: VotingGame, *, backend: str = "enum"
 ) -> dict[str, ControlClassification]:
     """Classify each foreign player's de facto control.
 
@@ -71,10 +68,8 @@ def classify_foreign_control(
     exceeds every domestic stockholder's; has joint control when it exactly
     equals the best domestic power (and is positive); and otherwise has no
     control. Nationality never aggregates: each foreign player is judged
-    individually. ``quota`` optionally overrides the game's own quota.
+    individually. Judge another quota with ``game.with_quota(quota)``.
     """
-    if quota is not None:
-        game = game.with_quota(quota)
     return _classify(game, power_report(game, backend))
 
 
@@ -136,12 +131,6 @@ class SeatAllocation:
         if sum(s for _, s in self.seats) != self.board_size:
             raise ValidationError("seat counts must sum to the board size")
 
-    def seat_count(self, player_id: str) -> int:
-        for pid, count in self.seats:
-            if pid == player_id:
-                return count
-        raise KeyError(player_id)
-
     def vector(self) -> tuple[int, ...]:
         return tuple(count for _, count in self.seats)
 
@@ -173,7 +162,7 @@ def allocate_board_seats(game: VotingGame, board_size: int) -> SeatAllocation:
 
 def board_power(
     game: VotingGame,
-    board_size: int,
+    allocation: SeatAllocation,
     quota: Quota,
     *,
     backend: str = "enum",
@@ -181,13 +170,13 @@ def board_power(
     """Power distribution in the board, with each stockholder's nominees
     voting as one bloc.
 
-    The board game gives every stockholder a weight of seats/board_size, so
-    whenever the board size divides the weights evenly the board-level power
-    mirrors the stockholder-level power exactly.
+    ``allocation`` is the game's :func:`allocate_board_seats`. The board game
+    gives every stockholder a weight of seats/board_size, so whenever the
+    board size divides the weights evenly the board-level power mirrors the
+    stockholder-level power exactly.
     """
-    allocation = allocate_board_seats(game, board_size)
     players = [
-        replace(p, weight=Weight(Fraction(seats * BP_PER_UNIT, board_size)))
+        replace(p, weight=Weight(Fraction(seats * BP_PER_UNIT, allocation.board_size)))
         for p, (_, seats) in zip(game.players, allocation.seats)
     ]
     board_game = make_game(quota, players)

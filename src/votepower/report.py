@@ -72,7 +72,7 @@ def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) ->
         else:
             quota = resolve_quota(spec.quota, options.interpretation) if spec.quota else game.quota
             allocation = allocate_board_seats(game, spec.board_size)
-            report = board_power(game, spec.board_size, quota, backend=backend)
+            report = board_power(game, allocation, quota, backend=backend)
             body |= {"board_size": allocation.board_size,
                      "seats": [{"id": pid, "seats": n} for pid, n in allocation.seats],
                      "board_power": power_json(report)}

@@ -401,6 +401,12 @@ def loads(text: str) -> Scenario:
         raise ScenarioParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from exc
+    except ValueError as exc:
+        # The one other ValueError of json.loads: int() refuses an integer
+        # literal longer than sys.get_int_max_str_digits().
+        raise ScenarioParseError("invalid JSON: an integer literal has too many digits") from exc
     # Corpus documents wrap the scenario next to their expected values;
     # accept them directly so every shipped file is runnable as-is.
     if isinstance(document, dict) and "schema_version" not in document and "scenario" in document:
@@ -418,7 +424,3 @@ def load(path: str | Path) -> Scenario:
 
 def dumps(scenario: Scenario) -> str:
     return json.dumps(scenario.document, indent=2) + "\n"
-
-
-def dump(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(dumps(scenario), encoding="utf-8")

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from votepower import corpus
 from votepower.cli import main
 from votepower.corpus import corpus_dir, verify_corpus
 
@@ -111,6 +112,22 @@ def test_run_non_utf8_file_exits_2_with_one_line(tmp_path, capsys):
     assert err == "scenario error: invalid UTF-8 at byte offset 0: invalid start byte\n"
 
 
+def test_run_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "scenario error: invalid JSON: arrays or objects nested too deeply\n"
+
+
+def test_run_overlong_integer_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text('{"schema_version": ' + "9" * 5_000 + "}")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "scenario error: invalid JSON: an integer literal has too many digits\n"
+
+
 def test_run_mc_negative_seed_exits_2_with_one_line(scenario_path, capsys):
     assert main(["run", str(scenario_path), "--backend", "mc", "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -157,7 +174,7 @@ def test_verify_corpus_unknown_subset(capsys):
     assert main(["verify-corpus", "--subset", "nonesuch"]) == 2
 
 
-def test_corrupted_expected_value_fails_with_diff(tmp_path):
+def test_corrupted_expected_value_fails_with_diff(tmp_path, monkeypatch):
     target = tmp_path / "corpus"
     target.mkdir()
     for name in ("critical_stockholders",):
@@ -166,7 +183,8 @@ def test_corrupted_expected_value_fails_with_diff(tmp_path):
     document = json.loads(path.read_text())
     document["checks"][0]["expect"]["power"]["players"][0]["beta"] = 4
     path.write_text(json.dumps(document))
-    report = verify_corpus(directory=target)
+    monkeypatch.setattr(corpus, "corpus_dir", lambda: target)
+    report = verify_corpus()
     assert not report.passed
     lines = "\n".join(report.summary_lines())
     assert "FAIL" in lines

@@ -136,9 +136,10 @@ def test_enumerate_flags_match_is_winning():
 
 
 def test_enumerate_limit():
-    g = game(51, [10] * 10)
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_coalitions(g, limit=9))
+    # The stream starts at 24 players and refuses 25.
+    assert next(enumerate_coalitions(game(51, [4] * 24)))[0].mask == 1
+    with pytest.raises(EnumerationLimitError, match="enumeration limit of 24"):
+        next(enumerate_coalitions(game(51, [4] * 25)))
 
 
 def test_winning_closed_under_supersets():

@@ -28,7 +28,7 @@ from votepower import (
     swing_counts_enum,
     swing_estimate_mc,
 )
-from votepower import engine
+from votepower import core, engine
 from votepower.engine import DpTableLimitError, _dp_betas, _integer_form
 from conftest import game
 
@@ -43,26 +43,26 @@ CRITICAL_TABLES = [
 @pytest.mark.parametrize("quota,weights,expected", CRITICAL_TABLES)
 def test_swing_counts_enum_tables(quota, weights, expected):
     g = game(quota, weights)
-    assert tuple(c.beta for c in swing_counts_enum(g)) == expected
+    assert swing_counts_enum(g) == expected
 
 
 @pytest.mark.parametrize("quota,weights,expected", CRITICAL_TABLES)
 def test_swing_counts_dp_matches_enum(quota, weights, expected):
     g = game(quota, weights)
-    assert tuple(c.beta for c in swing_counts_dp(g)) == expected
+    assert swing_counts_dp(g) == expected
 
 
 def test_dp_single_player():
     g = game(Quota.unanimous(), [100])
-    assert [c.beta for c in swing_counts_dp(g)] == [1]
-    assert [c.beta for c in swing_counts_enum(g)] == [1]
+    assert list(swing_counts_dp(g)) == [1]
+    assert list(swing_counts_enum(g)) == [1]
 
 
 def test_dp_twenty_symmetric_players():
     # 20 players of weight 5 at quota 51: a player swings exactly when the
     # other nineteen supply 50, i.e. ten of them join: C(19, 10) subsets.
     g = game(51, [5] * 20)
-    counts = [c.beta for c in swing_counts_dp(g)]
+    counts = list(swing_counts_dp(g))
     assert len(set(counts)) == 1
     assert counts[0] == math.comb(19, 10)
 
@@ -134,12 +134,23 @@ def test_de_facto_unanimity_reduces_to_equal_shares():
 
 
 def test_backend_limits():
-    # Reduced by their gcd, these weights total 100 over ten players.
-    g = game(51, [11, 9] + [10] * 8)
-    with pytest.raises(EnumerationLimitError):
-        swing_counts_enum(g, limit=9)
-    with pytest.raises(DpTableLimitError):
-        swing_counts_dp(g, table_bound=10)
+    # Enumeration refuses 25 players, with one message for the swing counts
+    # and the coalition stream.
+    g = game(51, [4] * 25)
+    with pytest.raises(EnumerationLimitError) as counted:
+        swing_counts_enum(g)
+    with pytest.raises(EnumerationLimitError) as streamed:
+        next(enumerate_coalitions(g))
+    assert str(counted.value) == str(streamed.value) == (
+        "25 players exceeds the enumeration limit of 24; use the dp or mc backend instead")
+    # The table runs up to a reduced total weight of 5,000,000 and no further.
+    at_bound = game(51, ["25000.01", "24999.99"])
+    assert _integer_form(at_bound)[2] == 5_000_000
+    assert swing_counts_dp(at_bound) == (1, 1)
+    past_bound = game(51, ["25000.01", "25000"])
+    assert _integer_form(past_bound)[2] == 5_000_001
+    with pytest.raises(DpTableLimitError, match="5000001 exceeds the table bound of 5000000"):
+        swing_counts_dp(past_bound)
     with pytest.raises(ValidationError):
         power_report(g, "nope")
 
@@ -159,7 +170,7 @@ def test_enum_beyond_int64_matches_brute_force():
         for i, player in enumerate(g.players):
             if coalition.contains(g, player.id) and is_critical(g, coalition, player.id):
                 brute[i] += 1
-    assert [c.beta for c in swing_counts_enum(g)] == brute
+    assert list(swing_counts_enum(g)) == brute
     assert len(set(brute)) > 1
 
 
@@ -167,7 +178,7 @@ def test_beta_bounded_by_half_powerset():
     for quota, weights, _ in CRITICAL_TABLES:
         g = game(quota, weights)
         bound = 1 << (g.n - 1)
-        assert all(c.beta <= bound for c in swing_counts_enum(g))
+        assert all(beta <= bound for beta in swing_counts_enum(g))
 
 
 def test_mc_is_deterministic_for_a_seed():
@@ -244,7 +255,7 @@ def _wide_games():
 )
 def test_dp_beyond_int64_matches_subset_sum_oracle(bps, quota):
     g = _bp_game(bps, quota)
-    assert [c.beta for c in swing_counts_dp(g)] == _oracle_betas(bps, quota)
+    assert list(swing_counts_dp(g)) == _oracle_betas(bps, quota)
 
 
 def test_dp_beyond_int64_cases_cover_the_edges():
@@ -256,7 +267,7 @@ def test_dp_beyond_int64_cases_cover_the_edges():
     dictator, quota = cases[-1]
     assert dictator[0] >= quota.threshold * sum(dictator)
     wide = [_bp_game(bps, quota) for bps, quota in cases if len(bps) >= 63]
-    assert max(c.beta for g in wide for c in swing_counts_dp(g)) > 2**63
+    assert max(beta for g in wide for beta in swing_counts_dp(g)) > 2**63
 
 
 # One meeting with a public float, analysed by power, classify and float_adjust.
@@ -304,21 +315,24 @@ def test_mc_counts_are_cached_per_reduced_game():
 def test_cached_counts_are_keyed_by_threshold():
     weights = [20, 20, 20, 20, 20]
     majority, supermajority = game(51, weights), game(67, weights)
-    assert [c.beta for c in swing_counts_dp(majority)] == [6] * 5
-    assert [c.beta for c in swing_counts_dp(supermajority)] == [4] * 5
-    assert [c.beta for c in swing_counts_enum(majority)] == [6] * 5
-    assert [c.beta for c in swing_counts_enum(supermajority)] == [4] * 5
+    assert list(swing_counts_dp(majority)) == [6] * 5
+    assert list(swing_counts_dp(supermajority)) == [4] * 5
+    assert list(swing_counts_enum(majority)) == [6] * 5
+    assert list(swing_counts_enum(supermajority)) == [4] * 5
 
 
-def test_limit_errors_repeat_after_a_cached_count():
+def test_limit_errors_repeat_after_a_cached_count(monkeypatch):
+    # Reduced by their gcd, these weights total 100 over ten players.
     g = game(51, [11, 9] + [10] * 8)
     swing_counts_enum(g)
     swing_counts_dp(g)
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_LIMIT", 9)
+    monkeypatch.setattr(engine, "DEFAULT_DP_TABLE_BOUND", 10)
     for _ in range(2):
         with pytest.raises(EnumerationLimitError):
-            swing_counts_enum(g, limit=9)
+            swing_counts_enum(g)
         with pytest.raises(DpTableLimitError):
-            swing_counts_dp(g, table_bound=10)
+            swing_counts_dp(g)
 
 
 def _mc_reference(g, samples: int, seed: int) -> list[int]:

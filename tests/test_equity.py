@@ -20,6 +20,10 @@ from votepower import (
     make_game,
     power_report,
 )
+from votepower import equity, report
+from votepower.corpus import corpus_dir
+from votepower.report import run_scenario
+from votepower.scenario import load
 from conftest import game
 
 F = Nationality.foreign()
@@ -29,6 +33,11 @@ PUB = Nationality.public_float()
 
 def tagged_game(quota, weights, tags):
     return game(quota, weights, nationalities=tags)
+
+
+def board_vector(g, quota):
+    """Normalized power on a ten-seat board apportioned from ``g``."""
+    return board_power(g, allocate_board_seats(g, 10), quota).normalized_vector()
 
 
 def test_control_test_examples():
@@ -69,7 +78,7 @@ def test_classify_matrix_examples():
 def test_classify_accepts_quota_override():
     g = tagged_game(51, [40, 30, 30], [F, D, D])
     assert classify_foreign_control(g) == {"P1": ControlClassification.JOINT_CONTROL}
-    assert classify_foreign_control(g, Quota.percent(67)) == {
+    assert classify_foreign_control(g.with_quota(Quota.percent(67))) == {
         "P1": ControlClassification.EFFECTIVE_CONTROL
     }
 
@@ -146,14 +155,14 @@ def test_board_seats_always_sum_to_board_size():
 
 def test_board_power_published_rows():
     g = tagged_game(51, [40, 30, 30], [F, D, D])
-    assert board_power(g, 10, Quota.of(2, 3)).normalized_vector() == (
+    assert board_vector(g, Quota.of(2, 3)) == (
         Fraction(3, 5), Fraction(1, 5), Fraction(1, 5))
     g = tagged_game(51, [40, 60], [F, D])
-    assert board_power(g, 10, Quota.percent(51)).normalized_vector() == (
+    assert board_vector(g, Quota.percent(51)) == (
         Fraction(0), Fraction(1))
     g = tagged_game(51, [40, 20, 20, 20], [F, D, D, D])
-    maj = board_power(g, 10, Quota.percent(51)).normalized_vector()
-    sup = board_power(g, 10, Quota.percent(67)).normalized_vector()
+    maj = board_vector(g, Quota.percent(51))
+    sup = board_vector(g, Quota.percent(67))
     assert maj == (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
     assert sup == (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
     assert maj[0] > max(maj[1:]) and sup[0] > max(sup[1:])
@@ -164,8 +173,24 @@ def test_board_power_mirrors_stockholder_power_when_divisible():
         g = game(51, weights)
         for quota in (Quota.percent(51), Quota.percent(67)):
             stockholder = power_report(g.with_quota(quota)).normalized_vector()
-            board = board_power(g, 10, quota).normalized_vector()
-            assert board == stockholder
+            assert board_vector(g, quota) == stockholder
+
+
+def test_board_analysis_apportions_seats_once(monkeypatch):
+    scenario = load(corpus_dir() / "board_tables.json")
+    boards = sum(spec.analysis == "board" for spec in scenario.analyses)
+    calls = []
+
+    def counted(game, board_size):
+        calls.append(board_size)
+        return allocate_board_seats(game, board_size)
+
+    # Both modules that could apportion: the analysis runner and equity itself.
+    monkeypatch.setattr(report, "allocate_board_seats", counted)
+    monkeypatch.setattr(equity, "allocate_board_seats", counted)
+    run_scenario(scenario)
+    assert boards > 0
+    assert len(calls) == boards
 
 
 def test_board_power_requires_positive_size():
