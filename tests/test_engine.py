@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,101 @@ def test_beta_bounded_by_half_powerset():
         g = game(quota, weights)
         bound = 1 << (g.n - 1)
         assert all(beta <= bound for beta in swing_counts_enum(g))
+
+
+def _fraction_betas(g) -> list[int]:
+    """Swing counts from the coalition stream and ``is_critical``, in Fraction arithmetic."""
+    betas = [0] * g.n
+    for coalition, wins in enumerate_coalitions(g):
+        if wins:
+            for player_id in coalition.member_ids(g):
+                betas[g.index_of(player_id)] += is_critical(g, coalition, player_id)
+    return betas
+
+
+def _small_enum_cases():
+    rng = random.Random(1991)
+    for positive in range(1, 13):
+        # Zero weights, a repeated weight, and distinct ones.
+        bps = [rng.randint(1, 900) for _ in range(positive)]
+        if positive > 2:
+            bps[-1] = bps[0]
+        bps += [0] * rng.randint(0, min(2, 12 - positive))
+        rng.shuffle(bps)
+        total = sum(bps)
+        # A quota met exactly by some coalition's weight, and unanimity.
+        met = next(s for s in itertools.accumulate(sorted(bps, reverse=True)) if 2 * s > total)
+        yield _bp_game(bps, Quota.of(met, total))
+        yield _bp_game(bps, Quota.unanimous())
+    # Ten players on both sides of the split whose reduced total passes
+    # 2^62, so the halves hold Python integers.
+    primes = [2**13 - 1, 2**17 - 1, 2**19 - 1, 2**31 - 1, 2**61 - 1]
+    players = [
+        Player(f"P{i}", f"P{i}", Nationality.domestic(),
+               Weight(1 + i % 4 + Fraction(1, primes[i % 5])))
+        for i in range(10)
+    ]
+    yield make_game(Quota.of(51, 100), players)
+
+
+def test_enum_matches_fraction_reference_on_small_games():
+    cases = list(_small_enum_cases())
+    positive = {g.n - _integer_form(g)[0].count(0) for g in cases}
+    # Both sides of the one-half bound, zero weights and a Python-int game.
+    assert {engine._ONE_HALF_PLAYERS, engine._ONE_HALF_PLAYERS + 1} <= positive
+    assert any(0 in _integer_form(g)[0] for g in cases)
+    assert sum(_integer_form(cases[-1])[0]) >= 2**62 and cases[-1].n > engine._ONE_HALF_PLAYERS
+    engine._enum_betas.cache_clear()
+    mismatches = [g for g in cases if list(swing_counts_enum(g)) != _fraction_betas(g)]
+    assert mismatches == []
+
+
+def _large_enum_cases():
+    rng = random.Random(1424)
+    for n in (13, 14, 17, 20, 23, 24):
+        bps = rng.sample(range(1, 250), n)
+        if n % 2:
+            # Repeated weights, whose first player sits in the right half.
+            bps[-1] = bps[-2] = bps[-3]
+        total = sum(bps)
+        met = next(s for s in itertools.accumulate(bps) if 2 * s > total)
+        yield bps, Quota.of(51, 100)
+        yield bps, Quota.of(met, total)
+    yield bps, Quota.unanimous()
+
+
+def test_enum_matches_subset_sum_oracle_on_large_games():
+    engine._enum_betas.cache_clear()
+    for bps, quota in _large_enum_cases():
+        assert list(swing_counts_enum(_bp_game(bps, quota))) == _oracle_betas(bps, quota)
+
+
+def test_enum_memory_stays_near_the_half_sums():
+    # 24 distinct weights: all 2^24 coalition sums would take 128 MiB.
+    g = _bp_game(list(range(101, 125)), Quota.of(51, 100))
+    engine._enum_betas.cache_clear()
+    tracemalloc.start()
+    try:
+        betas = swing_counts_enum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(betas)) == 24
+    assert peak < 8 * 2**20
+
+
+def test_zero_weight_players_leave_exact_counts():
+    # Three seat holders among 30 stockholders: each of the 27 zero-weight
+    # players doubles the others' counts and never swings.
+    g = game(51, [50, 49, 1] + [0] * 27)
+    expected = (3 << 27, 1 << 27, 1 << 27) + (0,) * 27
+    assert swing_counts_enum(g) == swing_counts_dp(g) == expected
+    report = power_report(g)
+    assert report.absolute_vector()[:3] == (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4))
+    assert all(Status.DUMMY in report.statuses(f"P{i}") for i in range(4, 31))
+    # Only the positive-weight players count towards the limit.
+    with pytest.raises(EnumerationLimitError, match="^25 players exceeds"):
+        swing_counts_enum(game(51, [4] * 25 + [0] * 3))
 
 
 def test_mc_is_deterministic_for_a_seed():
