@@ -22,13 +22,17 @@ player doubles every other player's count and never swings. Monte Carlo
 sampling estimates the absolute index with a 95% confidence half-width for
 games too large for either. Its coalitions are the rows of
 ``numpy.random.default_rng(seed).integers(0, 2, (samples, N))``, equal to
-that call cell for cell, but held at one byte per draw and one chunk of
-bounded size at a time; each row's weight is exact in integers for any
-weights, and a player is checked only in the rows whose weight lies within
-its own weight of T. The draws depend only on the player count, sample
-count and seed, so small games with the same player count share one
-histogram of the drawn coalitions, and the ownership tiers' many tiny games
-draw once per size.
+that call cell for cell, drawn one chunk of bounded size at a time and
+packed at one bit per draw. The draws depend only on the player count,
+sample count and seed, so a process keeps the packed streams of recent
+draws under a fixed byte cap, and a later game of the same size reads its
+stream back instead of drawing again: a meeting's classification and its
+board game, which keeps every stockholder, share one draw. Each row's
+weight is summed exactly from per-byte tables of the weights of eight
+players, skipping the bytes of zero-weight players, and a player is checked
+only in the rows whose weight lies within its own weight of T. Small games
+with the same player count share one histogram of the drawn coalitions, so
+the ownership tiers' many tiny games draw once per size.
 """
 
 from __future__ import annotations
@@ -72,10 +76,22 @@ _BETA_CACHE_SIZE = 256
 # N = 7 (one half faster in 9 runs of 15), and 101 against 82 us at N = 8.
 _ONE_HALF_PLAYERS = 7
 
-# Draw cells per Monte Carlo chunk, one byte each, and the raw 64-bit words
-# (two cells each) read at a time: 512 KiB of each.
-_MC_CHUNK_CELLS = 2**19
-_MC_RAW_WORDS = 2**16
+# Draw cells per Monte Carlo chunk, one byte each before packing (256 KiB),
+# and the raw 64-bit words, two cells each, read at a time (64 KiB). Small
+# reads leave room for the kept streams: in a forked op of a 150-player mc
+# meeting (2-core Xeon), 2^15 words at a time peaked 0.4 MB higher in RSS
+# for no gain in time.
+_MC_CHUNK_CELLS = 2**18
+_MC_RAW_WORDS = 2**13
+
+# Games of at most this many players with no more coalitions than samples
+# count each coalition once, from a histogram of the draws.
+_MC_HISTOGRAM_PLAYERS = 15
+
+# Packed draw streams kept per process, keyed by (N, samples, seed), and the
+# cap on their total bytes: 50,000 draws of 150 players pack into 0.94 MB.
+_MC_KEPT_BYTES = 2**22
+_kept_streams: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 class DpTableLimitError(BackendLimitError):
@@ -312,16 +328,19 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
     per-player hit rate is an unbiased estimate of the absolute index.
     The coalitions drawn are the rows of
     ``numpy.random.default_rng(seed).integers(0, 2, (samples, N))``, the
-    same for any chunking; they are held one byte per draw, at most
-    ``_MC_CHUNK_CELLS`` bytes at a time, and every swing is decided in exact
-    integers whatever the weights.
+    same for any chunking; they are drawn at most ``_MC_CHUNK_CELLS`` cells
+    at a time and held at one bit per draw, and every swing is decided in
+    exact integers whatever the weights, from per-byte weight tables that
+    skip the bytes of zero-weight players.
     Results are reproducible for a fixed seed; the report carries a normal
     95% confidence half-width per player. The hits of recent
     (weights, T, samples, seed) draws are kept, so repeated reports on one
-    game draw it once. A game with no more coalitions than samples, all of
-    them fitting one draw chunk, counts each coalition once, weighted by a
-    histogram of the draws shared by every game of its size and seed; the
-    hits are those of drawing its own rows.
+    game count it once, and the packed draws of recent (N, samples, seed)
+    are kept up to ``_MC_KEPT_BYTES``, so another game of the same size
+    reads them back instead of drawing again. A game of at most 15 players
+    with no more coalitions than samples counts each coalition once,
+    weighted by a histogram of the draws shared by every game of its size
+    and seed; the hits are those of drawing its own rows.
     """
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
@@ -335,19 +354,22 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
 def _mc_hits(weights: tuple[int, ...], threshold: int, samples: int, seed: int) -> tuple[int, ...]:
     n = len(weights)
     hits = [0] * n
-    if (1 << n) <= samples and n * (1 << n) <= _MC_CHUNK_CELLS:
-        # Every coalition fits one chunk: count each once, weighted by how
-        # often the stream drew it.
-        coalitions = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        _add_swing_hits(hits, coalitions, weights, threshold, _coalition_counts(n, samples, seed))
+    if (1 << n) <= samples and n <= _MC_HISTOGRAM_PLAYERS:
+        # Count each coalition once, weighted by how often the stream drew
+        # it. Coalition m's packed row is m itself, as two little-endian bytes.
+        offsets = _subset_sums(weights, np.int64 if sum(weights) < 2**63 else object) - threshold
+        coalitions = np.arange(1 << n, dtype="<u2").view(np.uint8).reshape(-1, 2)
+        _add_swing_hits(hits, coalitions, offsets, weights, _coalition_counts(n, samples, seed))
     else:
-        for draws in _mc_draws(n, samples, seed):
-            _add_swing_hits(hits, draws, weights, threshold)
+        tables = _row_tables(weights)
+        for rows in _mc_rows(n, samples, seed):
+            _add_swing_hits(hits, rows, _row_offsets(rows, tables, threshold), weights)
     return tuple(hits)
 
 
-# Each entry holds 2^N int64 counts, N <= 15 at 2^19-cell chunks: at most
-# 32 x 2^15 x 8 bytes = 8 MiB.
+# Each entry holds 2^N int64 counts, N <= _MC_HISTOGRAM_PLAYERS = 15: at
+# most 32 x 2^15 x 8 bytes = 8 MiB. A histogram stands for its whole stream,
+# so it reads the draws directly and leaves no packed stream behind.
 @functools.lru_cache(maxsize=32)
 def _coalition_counts(n: int, samples: int, seed: int) -> np.ndarray:
     """How often each of the 2^N coalitions occurs among the draws of
@@ -357,6 +379,42 @@ def _coalition_counts(n: int, samples: int, seed: int) -> np.ndarray:
         counts += np.bincount(np.einsum("ij,j->i", draws, 1 << np.arange(n)), minlength=1 << n)
     counts.flags.writeable = False  # every caller shares the cached array
     return counts
+
+
+def _packed(draws: np.ndarray) -> np.ndarray:
+    """Draw rows at one bit per draw: bit j & 7 of byte j >> 3 is player j."""
+    return np.packbits(draws, axis=1, bitorder="little")
+
+
+def _mc_rows(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The draws of :func:`_mc_draws`, packed by :func:`_packed`, in chunks
+    of the same rows.
+
+    A stream of at most ``_MC_KEPT_BYTES`` packed bytes is kept, and a later
+    game with the same N, sample count and seed reads it back instead of
+    drawing again; the kept streams never total more than that cap, the
+    least recently read going first. A longer stream is drawn again each
+    time it is read.
+    """
+    key = (n, samples, seed)
+    stream = _kept_streams.pop(key, None)
+    if stream is None:
+        width = (n + 7) // 8
+        if samples * width > _MC_KEPT_BYTES:
+            yield from map(_packed, _mc_draws(n, samples, seed))
+            return
+        stream = np.empty((samples, width), dtype=np.uint8)
+        start = 0
+        for draws in _mc_draws(n, samples, seed):
+            stream[start:start + len(draws)] = _packed(draws)
+            start += len(draws)
+        stream.flags.writeable = False  # later games share the kept array
+        while sum(s.nbytes for s in _kept_streams.values()) + stream.nbytes > _MC_KEPT_BYTES:
+            del _kept_streams[next(iter(_kept_streams))]
+    _kept_streams[key] = stream  # read last, so evicted last
+    rows = max(1, _MC_CHUNK_CELLS // n)
+    for start in range(0, samples, rows):
+        yield stream[start:start + rows]
 
 
 def _mc_draws(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -388,22 +446,51 @@ def _mc_draws(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
         yield chunk.view(np.uint8).reshape(-1, n)
 
 
-def _row_offsets(draws: np.ndarray, weights: tuple[int, ...], threshold: int) -> np.ndarray:
-    """Each row's weight minus T, exact.
+def _row_tables(weights: tuple[int, ...]) -> list[list[tuple[int, np.ndarray]]]:
+    """The byte tables of :func:`_row_offsets`, built once per game: one set
+    over the whole weights while their total fits int64, else one set per
+    32-bit limb of the weights, two while every weight is below 2^63 and at
+    least three once some weight is not."""
+    if sum(weights) < 2**63:
+        return [_byte_tables(weights)]
+    top = max(weights).bit_length()
+    return [_byte_tables([w >> shift & (2**32 - 1) for w in weights])
+            for shift in range(0, 64 if top < 64 else top + 1, 32)]
+
+
+def _byte_tables(weights: list[int] | tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
+    """(c, table) for each byte column c of a packed row that holds a
+    positive weight; table[b] is the weight of the players whose bits are
+    set in b. A column of zero weights is never read. Every sum of eight
+    weights must fit int64."""
+    columns = np.zeros(-(-len(weights) // 8) * 8, dtype=np.int64)
+    columns[:len(weights)] = weights
+    columns = columns.reshape(-1, 8)
+    tables = columns @ (np.arange(256)[None, :] >> np.arange(8)[:, None] & 1)
+    return [(c, tables[c]) for c in np.flatnonzero(columns.any(axis=1)).tolist()]
+
+
+def _row_offsets(rows: np.ndarray, tables: list[list[tuple[int, np.ndarray]]],
+                 threshold: int) -> np.ndarray:
+    """Each packed row's weight minus T, exact, summed one byte lookup per
+    column of each set of :func:`_row_tables`.
 
     An int64 array while every weight fits int64: an offset past the int64
     range is clipped to it, which keeps it beyond every weight, where no
     player swings. Python integers when some weight does not fit.
     """
-    if sum(weights) < 2**63:
-        return np.einsum("ij,j->i", draws, np.asarray(weights, dtype=np.int64)) - threshold
-    # Sum the 32-bit limbs of the weights apart; each sum is below N * 2^32.
-    mask = 2**32 - 1
-    top = max(weights).bit_length()
-    limbs = [np.einsum("ij,j->i", draws, np.array([w >> shift & mask for w in weights]))
-             for shift in range(0, 64 if top < 64 else top, 32)]
-    if top >= 64:
+    limbs = []
+    for limb_tables in tables:
+        limb = np.zeros(len(rows), dtype=np.int64)
+        for c, table in limb_tables:
+            limb += table.take(rows[:, c])  # faster than table[rows[:, c]]
+        limbs.append(limb)
+    if len(limbs) == 1:
+        return limbs[0] - threshold
+    # Each limb sum is below N * 2^32.
+    if len(limbs) > 2:
         return sum(limb.astype(object) << 32 * k for k, limb in enumerate(limbs)) - threshold
+    mask = 2**32 - 1
     low, high = limbs
     low -= threshold & mask
     high += (low >> 32) - (threshold >> 32)
@@ -414,29 +501,31 @@ def _row_offsets(draws: np.ndarray, weights: tuple[int, ...], threshold: int) ->
     return offsets
 
 
-def _add_swing_hits(hits: list[int], draws: np.ndarray, weights: tuple[int, ...],
-                    threshold: int, counts: np.ndarray | None = None) -> None:
-    # Add to each player's hits the rows in which it swings; row r counts
-    # counts[r] times, or once without counts. With x the row's weight
-    # minus T, a member swings when 0 <= x < w and a non-member when
-    # -w <= x < 0: the player's draw must equal (x >= 0), and w must exceed
-    # the gap g = x or -x - 1. Sorting the rows with g below the largest
-    # weight by g makes player i's rows a prefix, cut where g reaches w_i;
-    # players with the same prefix are counted together.
-    offsets = _row_offsets(draws, weights, threshold)
+def _add_swing_hits(hits: list[int], rows: np.ndarray, offsets: np.ndarray,
+                    weights: tuple[int, ...], counts: np.ndarray | None = None) -> None:
+    # Add to each player's hits the packed rows in which it swings; row r
+    # counts counts[r] times, or once without counts. With x = offsets[r],
+    # the row's weight minus T, a member swings when 0 <= x < w and a
+    # non-member when -w <= x < 0: the player's bit must equal (x >= 0), and
+    # w must exceed the gap g = x or -x - 1. Sorting the rows with g below
+    # the largest weight by g makes player i's rows a prefix, cut where g
+    # reaches w_i; players with the same prefix are counted together.
     inside = offsets >= 0
     gaps = np.where(inside, offsets, -1 - offsets)
     near = np.flatnonzero(gaps < max(weights))
     near = near[np.argsort(gaps[near])]
     side = inside[near]
+    rows = rows.take(near, axis=0)
     prefixes: dict[int, list[int]] = {}
     for i, k in enumerate(np.searchsorted(gaps[near], weights).tolist()):
         if k:
             prefixes.setdefault(k, []).append(i)
     for k, players in prefixes.items():
-        aligned = draws[near[:k, None], players] == side[:k, None]
+        players = np.array(players)
+        bits = rows[:k, players >> 3] >> (players & 7).astype(np.uint8) & 1
+        aligned = bits == side[:k, None]
         sums = aligned.sum(axis=0) if counts is None else counts[near[:k]] @ aligned
-        for i, h in zip(players, sums.tolist()):
+        for i, h in zip(players.tolist(), sums.tolist()):
             hits[i] += h
 
 

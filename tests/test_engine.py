@@ -574,3 +574,145 @@ def test_mc_hits_are_exact_on_wide_games():
     assert mismatches == []
     # The cases are not vacuous: the big players swing in some rows.
     assert sum(sum(engine._mc_hits(*case)) > 0 for case in cases) > len(cases) // 2
+
+
+def _wide_meeting(n: int, board_size: int = 8) -> dict:
+    """A meeting of n stockholders, one of them foreign and one the public
+    float, with every analysis of a game."""
+    rng = random.Random(n)
+    ids = ["A", "F"] + [f"S{i}" for i in range(n - 2)]
+    kinds = {"A": "foreign", "F": "public_float"}
+    weights = [2600, 1900] + [rng.randint(1, 5500 // (n - 2)) for _ in range(n - 2)]
+    return {
+        "schema_version": 1,
+        "entities": [{"id": x, "name": x, "nationality": kinds.get(x, "domestic")} for x in ids],
+        "games": [{"id": "m", "quota": {"num": 51, "den": 100}, "players": [
+            {"entity": x, "weight_bp": w} for x, w in zip(ids, weights)]}],
+        "graphs": [],
+        "analyses": [{"analysis": a, "game": "m"} for a in ("power", "classify", "float_adjust")]
+        + [{"analysis": "board", "game": "m", "board_size": board_size}],
+    }
+
+
+def _spy_draws(monkeypatch) -> list[tuple[int, int, int]]:
+    drawn = []
+    original = engine._mc_draws
+
+    def spy(n, samples, seed):
+        drawn.append((n, samples, seed))
+        return original(n, samples, seed)
+
+    monkeypatch.setattr(engine, "_mc_draws", spy)
+    return drawn
+
+
+def test_classify_and_board_read_one_mc_stream(monkeypatch):
+    from votepower.report import RunOptions, run_scenario
+    from votepower.scenario import parse
+
+    drawn = _spy_draws(monkeypatch)
+    engine._mc_hits.cache_clear()
+    engine._kept_streams.clear()
+    results = run_scenario(parse(_wide_meeting(40)), RunOptions(backend="mc", samples=700, seed=4))
+    seats = [s["seats"] for s in results[3].payload["seats"]]
+    assert sum(seats) == 8 and 0 < sum(s > 0 for s in seats) < 40
+    # classify and board both sample 50,000 coalitions of all 40 stockholders
+    # with seed 0, and the board game reads classify's stream back; the
+    # adjusted game of float_adjust leaves the public float out.
+    assert sorted(drawn) == [(39, 700, 4), (40, 700, 4), (40, 50_000, 0)]
+    assert sum(s.nbytes for s in engine._kept_streams.values()) <= engine._MC_KEPT_BYTES
+
+
+def test_kept_streams_stay_under_their_cap(monkeypatch):
+    drawn = _spy_draws(monkeypatch)
+    monkeypatch.setattr(engine, "_MC_KEPT_BYTES", 5_000)
+    engine._mc_hits.cache_clear()
+    engine._kept_streams.clear()
+    # Packed rows of 3 bytes: 1,000 samples fit the cap, 2,000 do not.
+    weights, threshold = tuple(range(1, 21)), 106
+    for samples, seed in [(1_000, 0), (400, 1), (2_000, 0), (1_000, 2), (2_000, 0), (400, 1),
+                          (1_000, 0)]:
+        engine._mc_hits.cache_clear()
+        assert engine._mc_hits(weights, threshold, samples, seed) == tuple(
+            _exact_hits(weights, threshold, samples, seed))
+        assert sum(s.nbytes for s in engine._kept_streams.values()) <= 5_000
+        assert (20, 2_000, 0) not in engine._kept_streams
+    # The stream above the cap is drawn each time. (1000, 2) evicts the
+    # least recently read (1000, 0), which is drawn again; (400, 1) is read back.
+    assert drawn == [(20, 1_000, 0), (20, 400, 1), (20, 2_000, 0), (20, 1_000, 2),
+                     (20, 2_000, 0), (20, 1_000, 0)]
+
+
+def _mc_payloads(document, options) -> list[dict]:
+    from votepower.report import run_scenario
+    from votepower.scenario import parse
+
+    engine._mc_hits.cache_clear()
+    return [r.payload for r in run_scenario(parse(document), options)]
+
+
+@pytest.mark.parametrize("document, cells", [(MEETING, 3 * 7), (_wide_meeting(30), 2**12 + 3)])
+def test_kept_streams_give_the_fresh_answer(monkeypatch, document, cells):
+    from votepower.report import RunOptions
+
+    # 9 samples put MEETING's 4-player power games on the row path.
+    options = RunOptions(backend="mc", samples=9, seed=3)
+    engine._kept_streams.clear()
+    fresh = _mc_payloads(document, options)
+    assert engine._kept_streams
+    assert _mc_payloads(document, options) == fresh
+    # Read back, then drawn, in chunks of other odd row counts.
+    monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", cells)
+    assert _mc_payloads(document, options) == fresh
+    engine._kept_streams.clear()
+    assert _mc_payloads(document, options) == fresh
+
+
+def _packed_boundary_games():
+    rng = random.Random(8)
+    for n in (7, 8, 9, 15, 16, 17, 150, 151):
+        bps = [rng.randint(1, 400) for _ in range(n)]
+        # A whole byte column of zeros where there is one, and single zero bits.
+        for j in range(8, 16) if n >= 16 else ():
+            bps[j] = 0
+        for j in rng.sample(range(n), n // 5):
+            bps[j] = 0
+        bps[n - 1] = max(bps[n - 1], 1)
+        yield bps
+    # A board: 3 seat holders among 150 stockholders, in three byte columns.
+    board = [0] * 150
+    board[5], board[77], board[149] = 3, 3, 2
+    yield board
+
+
+@pytest.mark.parametrize("bps", list(_packed_boundary_games()), ids=lambda b: f"n{len(b)}")
+def test_packed_rows_match_one_draw_matrix(bps):
+    g = _bp_game(bps, Quota.of(51, 100))
+    engine._mc_hits.cache_clear()
+    engine._kept_streams.clear()
+    # The row path, then the histogram path where 2^n <= samples.
+    for samples in (100, 1_000):
+        got = swing_estimate_mc(g, samples, seed=len(bps)).beta_vector()
+        assert got == tuple(_mc_reference(g, samples, len(bps)))
+    # Zero-weight byte columns are never read.
+    weights = _integer_form(g)[0]
+    columns = [c for c, _ in engine._row_tables(weights)[0]]
+    assert columns == [c for c in range((len(bps) + 7) // 8) if any(weights[8 * c:8 * c + 8])]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 150])
+def test_packed_rows_are_exact_on_wide_weights(n):
+    rng = random.Random(n)
+    engine._mc_hits.cache_clear()
+    # Row sums in int64, in two 32-bit limbs, and in Python ints.
+    for top, limbs in ((50, 1), (63, 2), (64, 3), (70, 3)):
+        weights = [rng.randrange(2**top) if rng.random() < 0.7 else 0 for _ in range(n)]
+        for j in range(8, 16) if n >= 16 else ():
+            weights[j] = 0
+        weights[rng.randrange(n)] = 2**top - 1
+        weights[rng.randrange(n)] = 2**top - 2
+        assert len(engine._row_tables(weights)) == limbs
+        threshold = -(-51 * sum(weights) // 100)
+        for samples in (200, 2**n if n <= 9 else 300):
+            case = tuple(weights), threshold, samples, top
+            assert list(engine._mc_hits(*case)) == _exact_hits(*case)
