@@ -78,6 +78,7 @@ class OwnershipGraph:
     _held: dict = field(init=False, repr=False, compare=False)
     _quota_map: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
+    _tiers: dict = field(init=False, repr=False, compare=False)
     _propagated: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,6 +117,7 @@ class OwnershipGraph:
         object.__setattr__(self, "_held", held)
         object.__setattr__(self, "_quota_map", quota_map)
         object.__setattr__(self, "_topo", _topological_order(held, holds))
+        object.__setattr__(self, "_tiers", {})
         object.__setattr__(self, "_propagated", {})
 
     def entity(self, entity_id: str) -> Entity:
@@ -258,6 +260,63 @@ def _tier_game(
     return make_game(graph.quota(corporation), players), tuple(imputations)
 
 
+def _judge(graph: OwnershipGraph, corporation: str, votes_as: dict[str, str],
+           backend: str) -> TierVerdict:
+    """Play one corporation's meeting once every corporation above it has
+    been judged; a dictator's block is voted by it from here on."""
+    game, imputations = _tier_game(graph, corporation, votes_as)
+    report = power_report(game, backend)
+    controller: str | None = None
+    kind: ControllerKind | None = None
+    joint: tuple[str, ...] = ()
+    dictators = [e.player_id for e in report.entries if Status.DICTATOR in e.statuses]
+    if dictators:
+        controller = dictators[0]
+        kind = ControllerKind.DICTATOR
+        votes_as[corporation] = controller
+    else:
+        best = max(report.normalized_vector())
+        top = [e.player_id for e in report.entries if e.normalized == best]
+        if len(top) == 1:
+            controller = top[0]
+            kind = ControllerKind.EFFECTIVE
+        else:
+            joint = tuple(top)
+    return TierVerdict(
+        corporation=corporation,
+        game=game,
+        report=report,
+        controller=controller,
+        controller_kind=kind,
+        joint_controllers=joint,
+        imputations=imputations,
+    )
+
+
+def _resolve(graph: OwnershipGraph, targets: Iterable[str], backend: str) -> dict[str, TierVerdict]:
+    """The backend's verdicts on the graph, once ``targets`` and every
+    corporation above them are judged.
+
+    A verdict reads only the verdicts above it, through the blocks their
+    dictators vote, so the corporations not yet judged are judged in the
+    top-down order and each at most once. Every judged corporation has all
+    of its upstream judged too, so the upward walk stops at one.
+    """
+    verdicts, votes_as = graph._tiers.setdefault(backend, ({}, {}))
+    missing = {t for t in targets if t not in verdicts}
+    stack = list(missing)
+    while stack:
+        for holding in graph.holdings_in(stack.pop()):
+            holder = holding.holder
+            if holder in graph._held and holder not in verdicts and holder not in missing:
+                missing.add(holder)
+                stack.append(holder)
+    for corporation in graph.corporations():
+        if corporation in missing:
+            verdicts[corporation] = _judge(graph, corporation, votes_as, backend)
+    return verdicts
+
+
 def discrete_propagate(graph: OwnershipGraph, *, backend: str = "enum") -> tuple[TierVerdict, ...]:
     """Resolve every tier top-down with full-block imputation.
 
@@ -267,51 +326,25 @@ def discrete_propagate(graph: OwnershipGraph, *, backend: str = "enum") -> tuple
     that resolve to the same controller vote as one. Tiers without a
     dictator impute nothing: the intermediate corporation votes its own
     block, and any power tie is recorded as joint control. The verdicts
-    are kept on the graph, so each backend propagates a graph only once.
+    are kept on the graph per backend and corporation, shared with
+    :func:`tier_verdict`, so only the tiers it has not yet judged are
+    played, and every call returns the same tuple in top-down order.
     """
-    if backend in graph._propagated:
-        return graph._propagated[backend]
-    votes_as: dict[str, str] = {}
-    verdicts = []
-    for corporation in graph.corporations():
-        game, imputations = _tier_game(graph, corporation, votes_as)
-        report = power_report(game, backend)
-        controller: str | None = None
-        kind: ControllerKind | None = None
-        joint: tuple[str, ...] = ()
-        dictators = [e.player_id for e in report.entries if Status.DICTATOR in e.statuses]
-        if dictators:
-            controller = dictators[0]
-            kind = ControllerKind.DICTATOR
-            votes_as[corporation] = controller
-        else:
-            best = max(report.normalized_vector())
-            top = [e.player_id for e in report.entries if e.normalized == best]
-            if len(top) == 1:
-                controller = top[0]
-                kind = ControllerKind.EFFECTIVE
-            else:
-                joint = tuple(top)
-        verdicts.append(
-            TierVerdict(
-                corporation=corporation,
-                game=game,
-                report=report,
-                controller=controller,
-                controller_kind=kind,
-                joint_controllers=joint,
-                imputations=imputations,
-            )
-        )
-    return graph._propagated.setdefault(backend, tuple(verdicts))
+    if backend not in graph._propagated:
+        verdicts = _resolve(graph, graph.corporations(), backend)
+        graph._propagated[backend] = tuple(verdicts[c] for c in graph.corporations())
+    return graph._propagated[backend]
 
 
 def tier_verdict(graph: OwnershipGraph, corporation: str, *, backend: str = "enum") -> TierVerdict:
-    """The discrete-propagation verdict for one corporation."""
-    for verdict in discrete_propagate(graph, backend=backend):
-        if verdict.corporation == corporation:
-            return verdict
-    raise ValidationError(f"{corporation!r} has no stockholders on record")
+    """The discrete-propagation verdict for one corporation.
+
+    Only the corporation and the corporations above it are judged, each once
+    per graph and backend; the verdicts are those of
+    :func:`discrete_propagate`, the same objects whichever runs first.
+    """
+    graph.quota(corporation)  # raises for a corporation with no stockholders
+    return _resolve(graph, (corporation,), backend)[corporation]
 
 
 @dataclass(frozen=True)
@@ -330,7 +363,8 @@ def compare_methods(graph: OwnershipGraph, target: str, *, backend: str = "enum"
 
     The grandfathered game seats every ultimate holder with their fractional
     path-product equity as a direct player; the discrete side is the target's
-    tier verdict. The divergence flag is set when the two normalized power
+    tier verdict, for which only the target and the corporations above it
+    are judged. The divergence flag is set when the two normalized power
     assignments differ for any entity.
     """
     tier = tier_verdict(graph, target, backend=backend)
@@ -385,9 +419,9 @@ def nationality_verdict(
 
     The Control Test reads each direct holder's registered nationality at
     face value. The grandfather verdict compares the domestic share of the
-    path-product equity against the same threshold. The power verdict runs
-    discrete propagation and classifies each foreign ultimate holder by the
-    control they end up with at the target tier (holders whose stake was
+    path-product equity against the same threshold. The power verdict reads
+    the target's tier verdict and classifies each foreign ultimate holder by
+    the control they end up with at the target tier (holders whose stake was
     absorbed by an upstream controller have no control).
     """
     test = control_test(direct_game(graph, target), domestic_threshold)

@@ -96,6 +96,19 @@ def test_power_report_normalized_and_absolute():
     assert report.total_swings == 5
 
 
+def test_power_report_looks_players_up_by_id():
+    report = power_report(game(51, [50, 49, 1]))
+    for entry in report.entries:
+        assert report.entry(entry.player_id) is entry
+        assert report.normalized(entry.player_id) == entry.normalized
+        assert report.absolute(entry.player_id) == entry.absolute
+        assert report.statuses(entry.player_id) == entry.statuses
+    for read in (report.entry, report.normalized, report.absolute, report.statuses):
+        with pytest.raises(KeyError):
+            read("P4")
+    assert report == power_report(game(51, [50, 49, 1]))
+
+
 def test_power_report_dummy_flag_tracks_beta():
     report = power_report(game(67, [34, 34, 32]))
     assert report.normalized_vector() == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
@@ -217,16 +230,62 @@ def _small_enum_cases():
     yield make_game(Quota.of(51, 100), players)
 
 
+def _plain_cases():
+    """Games on both sides of the plain-Python bound, with zero, equal and
+    fractional weights, under a quota some coalition meets exactly and under
+    unanimity."""
+    rng = random.Random(2718)
+    for n in range(1, engine._PLAIN_PLAYERS + 3):
+        fractional = [Weight(Fraction(rng.randint(1, 60), rng.choice([3, 7, 11])))
+                      for _ in range(n)]
+        for weights in ([Weight.from_bp(rng.randint(1, 900)) for _ in range(n)],
+                        [Weight.from_bp(250)] * n,
+                        [Weight.from_bp(0)] + [Weight.from_bp(rng.randint(1, 9))] * n,
+                        fractional):
+            players = [Player(f"P{i}", f"P{i}", Nationality.domestic(), w)
+                       for i, w in enumerate(weights)]
+            total = sum(w.bp for w in weights)
+            met = next(s for s in itertools.accumulate(sorted((w.bp for w in weights), reverse=True))
+                       if 2 * s > total)
+            yield make_game(Quota.of(met, total), players)
+            yield make_game(Quota.unanimous(), players)
+
+
 def test_enum_matches_fraction_reference_on_small_games():
-    cases = list(_small_enum_cases())
+    cases = list(_plain_cases()) + list(_small_enum_cases())
     positive = {g.n - _integer_form(g)[0].count(0) for g in cases}
-    # Both sides of the one-half bound, zero weights and a Python-int game.
+    # Both sides of the plain-Python and one-half bounds, zero weights and a
+    # Python-int game.
+    assert {engine._PLAIN_PLAYERS, engine._PLAIN_PLAYERS + 1} <= positive
     assert {engine._ONE_HALF_PLAYERS, engine._ONE_HALF_PLAYERS + 1} <= positive
     assert any(0 in _integer_form(g)[0] for g in cases)
     assert sum(_integer_form(cases[-1])[0]) >= 2**62 and cases[-1].n > engine._ONE_HALF_PLAYERS
     engine._enum_betas.cache_clear()
     mismatches = [g for g in cases if list(swing_counts_enum(g)) != _fraction_betas(g)]
     assert mismatches == []
+
+
+def test_plain_mc_hits_match_the_numpy_histogram(monkeypatch):
+    cases = [(g, samples) for g in _plain_cases() for samples in (2**g.n, 2_000)]
+    numpy_counted = []
+    original = engine._add_swing_hits
+
+    def spy(hits, rows, offsets, weights, counts=None):
+        numpy_counted.append(len(weights))
+        return original(hits, rows, offsets, weights, counts)
+
+    monkeypatch.setattr(engine, "_add_swing_hits", spy)
+    hits = []
+    for bound in (engine._PLAIN_PLAYERS, 0):
+        monkeypatch.setattr(engine, "_PLAIN_PLAYERS", bound)
+        engine._mc_hits.cache_clear()
+        hits.append([swing_estimate_mc(g, samples, seed).beta_vector()
+                     for g, samples in cases for seed in range(3)])
+        # Only the games above the bound reach numpy.
+        assert set(numpy_counted) == {g.n for g, _ in cases if g.n > bound}
+    plain, with_numpy = hits
+    assert plain == with_numpy
+    engine._mc_hits.cache_clear()
 
 
 def _large_enum_cases():
@@ -501,8 +560,8 @@ def test_small_mc_games_match_one_draw_matrix(monkeypatch):
         != tuple(_mc_reference(g, samples, k % 3))
     ]
     assert mismatches == []
-    # Games with 2^n <= samples share a histogram while its 2^n x n
-    # coalitions fit one 4 MiB draw chunk (n <= 15); the rest draw rows.
+    # Games of at most _MC_HISTOGRAM_PLAYERS = 15 players with 2^n <= samples
+    # share a histogram; the rest draw rows.
     assert set(drawn) == {(g.n, s) for g, s in cases if 2**g.n <= s and g.n <= 15}
     assert {n for n, _ in drawn} == set(range(1, 16))
     assert (16, 2**16 + 1) in {(g.n, s) for g, s in cases}

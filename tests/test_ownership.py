@@ -373,6 +373,115 @@ def test_mc_tier_games_draw_one_histogram_per_size():
     assert (info.misses, info.hits) == (len(set(sizes)), len(sizes) - len(set(sizes)))
 
 
+def _layered_document(seed, depth=5, width=4):
+    """A scenario of ``depth`` layers of ``width`` entities: the top layer
+    are ultimate holders, and each corporation below is held by three
+    entities of the layer above, at stakes in whole tenths."""
+    rng = random.Random(seed)
+    layers = [[f"U{i}" for i in range(width)]]
+    holdings = []
+    for level in range(1, depth):
+        layers.append([f"C{level}_{j}" for j in range(width)])
+        for corp in layers[-1]:
+            cuts = sorted(rng.sample(range(1, 10), 2))
+            stakes = [cuts[0], cuts[1] - cuts[0], 10 - cuts[1]]
+            for holder, tenths in zip(rng.sample(layers[-2], 3), stakes):
+                holdings.append({"holder": holder, "corporation": corp, "weight_bp": 1000 * tenths})
+    corporations = [corp for layer in layers[1:] for corp in layer]
+    return {
+        "schema_version": 1,
+        "entities": [{"id": x, "name": x, "nationality": rng.choice(("domestic", "foreign"))}
+                     for layer in layers for x in layer],
+        "graphs": [{
+            "id": "g",
+            "holdings": holdings,
+            "quotas": [{"corporation": c, "quota": rng.choice(({"num": 51, "den": 100},
+                                                              {"num": 2, "den": 3}))}
+                       for c in corporations],
+        }],
+        "analyses": [],
+    }
+
+
+def _upstream(graph, corporation):
+    """The corporations that hold ``corporation``, directly or not."""
+    seen, stack = set(), [corporation]
+    while stack:
+        for holding in graph.holdings_in(stack.pop()):
+            if holding.holder not in seen and holding.holder not in graph.ultimate_holders():
+                seen.add(holding.holder)
+                stack.append(holding.holder)
+    return seen
+
+
+def _spy_tier_games(monkeypatch) -> list[str]:
+    from votepower import ownership
+
+    played = []
+    real = ownership._tier_game
+
+    def spy(graph, corporation, votes_as):
+        played.append(corporation)
+        return real(graph, corporation, votes_as)
+    monkeypatch.setattr(ownership, "_tier_game", spy)
+    return played
+
+
+@pytest.mark.parametrize("backend", ["enum", "mc"])
+def test_tier_verdict_plays_only_the_tiers_above_its_target(monkeypatch, backend):
+    from votepower import scenario
+
+    graph = scenario.parse(_layered_document(3)).build_graph("g")
+    order = graph.corporations()
+    target = order[-1]
+    upstream = _upstream(graph, target)
+    # Some corporations of the upper layers are not above the target.
+    assert 0 < len(upstream) < len(order) - 1
+    played = _spy_tier_games(monkeypatch)
+    verdict = tier_verdict(graph, target, backend=backend)
+    assert played == [c for c in order if c in upstream | {target}]
+    assert tier_verdict(graph, target, backend=backend) is verdict
+    assert len(played) == len(upstream) + 1
+    # Propagation plays only the rest, and hands back the same verdicts.
+    del played[:]
+    verdicts = discrete_propagate(graph, backend=backend)
+    assert played == [c for c in order if c not in upstream | {target}]
+    assert verdicts[order.index(target)] is verdict
+    assert all(tier_verdict(graph, v.corporation, backend=backend) is v for v in verdicts)
+    assert discrete_propagate(graph, backend=backend) is verdicts
+    assert len(played) == len(order) - len(upstream) - 1
+
+
+def test_tier_verdict_of_an_unknown_corporation_raises():
+    graph = simple_chain()
+    for corporation in ("A", "Z"):
+        with pytest.raises(ValidationError, match="no stockholders"):
+            tier_verdict(graph, corporation)
+
+
+@pytest.mark.parametrize("backend", ["enum", "dp", "mc"])
+def test_analyses_give_the_same_payloads_in_either_order(backend):
+    from votepower import scenario
+    from votepower.report import RunOptions, run_scenario
+
+    document = _layered_document(8)
+    graph = scenario.parse(document).build_graph("g")
+    order = graph.corporations()
+    analyses = [{"analysis": "compare", "graph": "g", "target": t}
+                for t in (order[-1], order[len(order) // 2], order[0])]
+    analyses.append({"analysis": "discrete", "graph": "g"})
+    analyses.append({"analysis": "grandfather", "graph": "g", "holder": "U0", "target": order[-1]})
+    analyses.append({"analysis": "compare", "graph": "g", "target": order[-2]})
+    # Upstream dictators vote some blocks below them, so order could matter.
+    assert any(v.imputations for v in discrete_propagate(graph, backend=backend))
+    payloads = {}
+    for name, ordered in (("forward", analyses), ("reversed", analyses[::-1])):
+        results = run_scenario(scenario.parse(document | {"analyses": ordered}),
+                               RunOptions(backend=backend))
+        payloads[name] = [r.payload for r in results]
+    assert payloads["forward"] == payloads["reversed"][::-1]
+
+
 def _path_products(edges, holder, target):
     """Every holder-to-target path's stake product, found without memo."""
     if holder == target:
