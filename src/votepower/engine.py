@@ -30,15 +30,15 @@ stream back instead of drawing again: a meeting's classification and its
 board game, which keeps every stockholder, share one draw. Each row's
 weight is summed exactly from per-byte tables of the weights of eight
 players, skipping the bytes of zero-weight players, and a player is checked
-only in the rows whose weight lies within its own weight of T. Small games
-with the same player count share one histogram of the drawn coalitions, so
-the ownership tiers' many tiny games draw once per size.
+only in the rows whose weight lies within its own weight of T.
 
 Tiny games, of at most ``_PLAIN_PLAYERS`` players, are counted in plain
 Python in one pass over their 2^N coalitions, where numpy's per-call cost
 would exceed the count: a player swings wherever its joining or leaving a
-coalition flips the outcome. Enumeration takes beta as half the flips, and
-an mc histogram sums the draw counts of the flipped coalitions.
+coalition flips the outcome. Enumeration takes beta as half the flips. Under
+mc, a tiny game with no more coalitions than samples sums the draw counts of
+the flipped coalitions, from one histogram of the draws shared by every game
+of its size, so the ownership tiers' many tiny games draw once per size.
 """
 
 from __future__ import annotations
@@ -75,23 +75,21 @@ _INT64_SAFE = 2**62
 # samples and seed too, so reports on the same game in one process count it once.
 _BETA_CACHE_SIZE = 256
 
-# Games of at most this many positive-weight players keep them all in one
-# half of the enumeration kernel, which then walks all 2^N coalitions;
-# larger games split in two. Per kernel call on 20 random games, median of
-# 15 interleaved runs (2-core Xeon, Python 3.11.7, numpy 2.4.6), one half
-# against a split took 47 against 52 us at N = 6, 70 against 69 us at
-# N = 7 (one half faster in 9 runs of 15), and 101 against 82 us at N = 8.
-_ONE_HALF_PLAYERS = 7
-
-# Games of at most this many players, counted by enumeration or from an mc
-# histogram, are counted in plain Python, from one flip row per player over
-# the 2^N coalitions (:func:`_flip_rows`): numpy's per-call overhead costs
-# more than the 2^N * N comparisons. Per count of 20 random games, median of
-# 5 runs (2-core Xeon, Python 3.11.7, numpy 2.4.6), plain Python against
-# numpy took, for enum, 10-15 against 34-48 us at N = 4, 34-36 against
-# 45-51 us at N = 6 and 76-91 against 60-68 us at N = 7; for the mc
-# histogram, 11-17 against 54-98 us at N = 4 and 37-54 against 80-85 us at
-# N = 6.
+# The one small-game bound of both kernels: games of at most this many
+# players are counted in plain Python, from one flip row per player over the
+# 2^N coalitions (:func:`_flip_rows`), by enumeration and, when 2^N <=
+# samples, from an mc histogram of the draws. Larger games split in two
+# halves under enumeration and draw their own rows under mc. Per count of 20
+# random games, median of 5 runs (2-core Xeon, Python 3.11.7, numpy 2.4.6),
+# plain Python against numpy took, for enum, 10-15 against 34-48 us at
+# N = 4, 34-36 against 45-51 us at N = 6 and 76-91 against 60-68 us at
+# N = 7; for the mc histogram, 11-17 against 54-98 us at N = 4 and 37-54
+# against 80-85 us at N = 6. At N = 7, numpy over all 2^N coalitions in one
+# half costs what the split does (85 us). A numpy histogram would count an
+# mc game of 7-15 players faster than drawing its rows, 2.7 against 5.7 ms
+# at N = 7, 3.1 against 7.5 at N = 10 and 4.0 against 5.7 at N = 15 for
+# 50,000 samples, and 0.4 against 0.55 ms at N = 10 for 2,000, but no
+# perfbench workload has such a game.
 _PLAIN_PLAYERS = 6
 
 # Draw cells per Monte Carlo chunk, one byte each before packing (256 KiB),
@@ -101,10 +99,6 @@ _PLAIN_PLAYERS = 6
 # for no gain in time.
 _MC_CHUNK_CELLS = 2**18
 _MC_RAW_WORDS = 2**13
-
-# Games of at most this many players with no more coalitions than samples
-# count each coalition once, from a histogram of the draws.
-_MC_HISTOGRAM_PLAYERS = 15
 
 # Packed draw streams kept per process, keyed by (N, samples, seed), and the
 # cap on their total bytes: 50,000 draws of 150 players pack into 0.94 MB.
@@ -259,7 +253,7 @@ def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
     # Python integers in object arrays where int64 could overflow.
     dtype = np.int64 if sum(weights) < _INT64_SAFE else object
     n = len(weights)
-    h = n if n <= _ONE_HALF_PLAYERS else (n + 1) // 2
+    h = (n + 1) // 2
     left, right = _subset_sums(weights[:h], dtype), _subset_sums(weights[h:], dtype)
     # The first player of each distinct weight counts for all of them.
     firsts: dict[int, int] = {}
@@ -376,10 +370,11 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
     (weights, T, samples, seed) draws are kept, so repeated reports on one
     game count it once, and the packed draws of recent (N, samples, seed)
     are kept up to ``_MC_KEPT_BYTES``, so another game of the same size
-    reads them back instead of drawing again. A game of at most 15 players
-    with no more coalitions than samples counts each coalition once,
-    weighted by a histogram of the draws shared by every game of its size
-    and seed; the hits are those of drawing its own rows.
+    reads them back instead of drawing again. A game of at most
+    ``_PLAIN_PLAYERS`` players with no more coalitions than samples counts
+    each coalition once, weighted by a histogram of the draws shared by
+    every game of its size and seed; the hits are those of drawing its own
+    rows.
     """
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
@@ -392,37 +387,28 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def _mc_hits(weights: tuple[int, ...], threshold: int, samples: int, seed: int) -> tuple[int, ...]:
     n = len(weights)
-    hits = [0] * n
-    if (1 << n) <= samples and n <= _MC_HISTOGRAM_PLAYERS:
+    if n <= _PLAIN_PLAYERS and (1 << n) <= samples:
         # Count each coalition once, weighted by how often the stream drew
         # it: a player swings in every drawn row whose outcome its bit flips.
         counts = _coalition_counts(n, samples, seed)
-        if n <= _PLAIN_PLAYERS:
-            counts = counts.tolist()
-            return tuple(sum(compress(counts, row)) for row in _flip_rows(weights, threshold))
-        # Coalition m's packed row is m itself, as two little-endian bytes.
-        offsets = _subset_sums(weights, np.int64 if sum(weights) < 2**63 else object) - threshold
-        coalitions = np.arange(1 << n, dtype="<u2").view(np.uint8).reshape(-1, 2)
-        _add_swing_hits(hits, coalitions, offsets, weights, counts)
-    else:
-        tables = _row_tables(weights)
-        for rows in _mc_rows(n, samples, seed):
-            _add_swing_hits(hits, rows, _row_offsets(rows, tables, threshold), weights)
+        return tuple(sum(compress(counts, row)) for row in _flip_rows(weights, threshold))
+    hits = [0] * n
+    tables = _row_tables(weights)
+    for rows in _mc_rows(n, samples, seed):
+        _add_swing_hits(hits, rows, _row_offsets(rows, tables, threshold), weights)
     return tuple(hits)
 
 
-# Each entry holds 2^N int64 counts, N <= _MC_HISTOGRAM_PLAYERS = 15: at
-# most 32 x 2^15 x 8 bytes = 8 MiB. A histogram stands for its whole stream,
-# so it reads the draws directly and leaves no packed stream behind.
+# A histogram stands for its whole stream, so it reads the draws directly
+# and leaves no packed stream behind.
 @functools.lru_cache(maxsize=32)
-def _coalition_counts(n: int, samples: int, seed: int) -> np.ndarray:
+def _coalition_counts(n: int, samples: int, seed: int) -> list[int]:
     """How often each of the 2^N coalitions occurs among the draws of
     :func:`_mc_hits`; coalition m holds player i when bit i of m is set."""
     counts = np.zeros(1 << n, dtype=np.int64)
     for draws in _mc_draws(n, samples, seed):
         counts += np.bincount(np.einsum("ij,j->i", draws, 1 << np.arange(n)), minlength=1 << n)
-    counts.flags.writeable = False  # every caller shares the cached array
-    return counts
+    return counts.tolist()
 
 
 def _packed(draws: np.ndarray) -> np.ndarray:
@@ -546,14 +532,14 @@ def _row_offsets(rows: np.ndarray, tables: list[list[tuple[int, np.ndarray]]],
 
 
 def _add_swing_hits(hits: list[int], rows: np.ndarray, offsets: np.ndarray,
-                    weights: tuple[int, ...], counts: np.ndarray | None = None) -> None:
-    # Add to each player's hits the packed rows in which it swings; row r
-    # counts counts[r] times, or once without counts. With x = offsets[r],
-    # the row's weight minus T, a member swings when 0 <= x < w and a
-    # non-member when -w <= x < 0: the player's bit must equal (x >= 0), and
-    # w must exceed the gap g = x or -x - 1. Sorting the rows with g below
-    # the largest weight by g makes player i's rows a prefix, cut where g
-    # reaches w_i; players with the same prefix are counted together.
+                    weights: tuple[int, ...]) -> None:
+    # Add to each player's hits the packed rows in which it swings. With
+    # x = offsets[r], the row's weight minus T, a member swings when
+    # 0 <= x < w and a non-member when -w <= x < 0: the player's bit must
+    # equal (x >= 0), and w must exceed the gap g = x or -x - 1. Sorting the
+    # rows with g below the largest weight by g makes player i's rows a
+    # prefix, cut where g reaches w_i; players with the same prefix are
+    # counted together.
     inside = offsets >= 0
     gaps = np.where(inside, offsets, -1 - offsets)
     near = np.flatnonzero(gaps < max(weights))
@@ -567,8 +553,7 @@ def _add_swing_hits(hits: list[int], rows: np.ndarray, offsets: np.ndarray,
     for k, players in prefixes.items():
         players = np.array(players)
         bits = rows[:k, players >> 3] >> (players & 7).astype(np.uint8) & 1
-        aligned = bits == side[:k, None]
-        sums = aligned.sum(axis=0) if counts is None else counts[near[:k]] @ aligned
+        sums = (bits == side[:k, None]).sum(axis=0)
         for i, h in zip(players.tolist(), sums.tolist()):
             hits[i] += h
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
 
 import pytest
@@ -154,6 +155,41 @@ def test_run_dp_backend_matches_enum_on_telecom_corpus(capsys):
         outputs[backend] = capsys.readouterr().out
     assert '"backend": "dp"' in outputs["dp"]
     assert outputs["dp"].replace('"backend": "dp"', '"backend": "enum"') == outputs["enum"]
+
+
+def _integer_fields(node, found):
+    """Append (container, key) for every integer value under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, int) and not isinstance(value, bool):
+            found.append((node, key))
+        elif isinstance(value, (dict, list)):
+            _integer_fields(value, found)
+    return found
+
+
+def test_mutated_corpus_integers_never_raise(tmp_path, capsys):
+    # Scenario fuzzing: one or two integer fields of a shipped scenario set to
+    # an extreme value must end in an exit code, 2 for bad input and 1 for a
+    # backend limit, never in an exception.
+    rng = random.Random(8)
+    scenarios = [json.loads(path.read_text(encoding="utf-8"))["scenario"]
+                 for path in sorted(corpus_dir().glob("*.json"))]
+    values = (0, 1, -1, 10001, 2**63, 10**40)
+    path = tmp_path / "mutated.json"
+    codes = []
+    for k in range(150):
+        scenario = json.loads(json.dumps(scenarios[k % len(scenarios)]))
+        for node, key in rng.sample(_integer_fields(scenario, []), rng.randint(1, 2)):
+            node[key] = rng.choice(values)
+        path.write_text(json.dumps(scenario))
+        backend = ("enum", "dp", "mc")[k % 3]
+        codes.append(main(["run", str(path), "--backend", backend, "--samples", "64",
+                           "--format", rng.choice(("machine", "table"))]))
+        capsys.readouterr()
+    # Every run ended in a code, and the mutations reach valid documents,
+    # rejected ones and backend limits.
+    assert set(codes) == {0, 1, 2}
 
 
 def test_verify_corpus_cli(capsys):

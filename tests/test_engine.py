@@ -254,25 +254,24 @@ def _plain_cases():
 def test_enum_matches_fraction_reference_on_small_games():
     cases = list(_plain_cases()) + list(_small_enum_cases())
     positive = {g.n - _integer_form(g)[0].count(0) for g in cases}
-    # Both sides of the plain-Python and one-half bounds, zero weights and a
-    # Python-int game.
+    # Both sides of the plain-Python bound, zero weights and a Python-int
+    # game that splits.
     assert {engine._PLAIN_PLAYERS, engine._PLAIN_PLAYERS + 1} <= positive
-    assert {engine._ONE_HALF_PLAYERS, engine._ONE_HALF_PLAYERS + 1} <= positive
     assert any(0 in _integer_form(g)[0] for g in cases)
-    assert sum(_integer_form(cases[-1])[0]) >= 2**62 and cases[-1].n > engine._ONE_HALF_PLAYERS
+    assert sum(_integer_form(cases[-1])[0]) >= 2**62 and cases[-1].n > engine._PLAIN_PLAYERS
     engine._enum_betas.cache_clear()
     mismatches = [g for g in cases if list(swing_counts_enum(g)) != _fraction_betas(g)]
     assert mismatches == []
 
 
-def test_plain_mc_hits_match_the_numpy_histogram(monkeypatch):
+def test_plain_mc_hits_match_the_row_path(monkeypatch):
     cases = [(g, samples) for g in _plain_cases() for samples in (2**g.n, 2_000)]
-    numpy_counted = []
+    row_counted = []
     original = engine._add_swing_hits
 
-    def spy(hits, rows, offsets, weights, counts=None):
-        numpy_counted.append(len(weights))
-        return original(hits, rows, offsets, weights, counts)
+    def spy(hits, rows, offsets, weights):
+        row_counted.append(len(weights))
+        return original(hits, rows, offsets, weights)
 
     monkeypatch.setattr(engine, "_add_swing_hits", spy)
     hits = []
@@ -281,10 +280,10 @@ def test_plain_mc_hits_match_the_numpy_histogram(monkeypatch):
         engine._mc_hits.cache_clear()
         hits.append([swing_estimate_mc(g, samples, seed).beta_vector()
                      for g, samples in cases for seed in range(3)])
-        # Only the games above the bound reach numpy.
-        assert set(numpy_counted) == {g.n for g, _ in cases if g.n > bound}
-    plain, with_numpy = hits
-    assert plain == with_numpy
+        # Only the games above the bound draw rows; bound 0 sends every game there.
+        assert set(row_counted) == {g.n for g, _ in cases if g.n > bound}
+    plain, rows = hits
+    assert plain == rows
     engine._mc_hits.cache_clear()
 
 
@@ -560,11 +559,13 @@ def test_small_mc_games_match_one_draw_matrix(monkeypatch):
         != tuple(_mc_reference(g, samples, k % 3))
     ]
     assert mismatches == []
-    # Games of at most _MC_HISTOGRAM_PLAYERS = 15 players with 2^n <= samples
-    # share a histogram; the rest draw rows.
-    assert set(drawn) == {(g.n, s) for g, s in cases if 2**g.n <= s and g.n <= 15}
-    assert {n for n, _ in drawn} == set(range(1, 16))
-    assert (16, 2**16 + 1) in {(g.n, s) for g, s in cases}
+    # Games of at most _PLAIN_PLAYERS players with 2^n <= samples share a
+    # histogram; the rest, 7 to 16 players at every sample count among them,
+    # draw rows.
+    bound = engine._PLAIN_PLAYERS
+    assert set(drawn) == {(g.n, s) for g, s in cases if 2**g.n <= s and g.n <= bound}
+    assert {n for n, _ in drawn} == set(range(1, bound + 1))
+    assert {(n, 2**n + 1) for n in range(bound + 1, 17)} <= {(g.n, s) for g, s in cases}
 
 
 @pytest.mark.parametrize("cells, words", [(None, None), (3 * 5, None), (7, 3), (1, None)])
@@ -625,7 +626,8 @@ def test_mc_hits_are_exact_on_wide_games():
     cases = list(_wide_mc_cases())
     assert all(sum(w) >= 2**64 for w, *_ in cases)
     # Both the row path and the histogram path, and weights past int64.
-    assert {2**n <= s for w, _, s, _ in cases for n in [len(w)]} == {True, False}
+    histogram = [2**n <= s and n <= engine._PLAIN_PLAYERS for w, _, s, _ in cases for n in [len(w)]]
+    assert set(histogram) == {True, False}
     assert any(max(w) >= 2**63 for w, *_ in cases)
     assert any(max(w).bit_length() == 64 for w, *_ in cases)
     engine._mc_hits.cache_clear()
@@ -749,7 +751,7 @@ def test_packed_rows_match_one_draw_matrix(bps):
     g = _bp_game(bps, Quota.of(51, 100))
     engine._mc_hits.cache_clear()
     engine._kept_streams.clear()
-    # The row path, then the histogram path where 2^n <= samples.
+    # The row path at two sample counts: no game this large reads a histogram.
     for samples in (100, 1_000):
         got = swing_estimate_mc(g, samples, seed=len(bps)).beta_vector()
         assert got == tuple(_mc_reference(g, samples, len(bps)))
