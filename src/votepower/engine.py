@@ -39,6 +39,10 @@ coalition flips the outcome. Enumeration takes beta as half the flips. Under
 mc, a tiny game with no more coalitions than samples sums the draw counts of
 the flipped coalitions, from one histogram of the draws shared by every game
 of its size, so the ownership tiers' many tiny games draw once per size.
+Enumeration splits games of up to ``_SPLIT_PLAYERS`` players in plain Python
+too, over sorted lists and ``bisect``. numpy is imported by the kernels that
+use it, on their first call, so a process whose games all stay within those
+bounds under enumeration never loads it; dp, mc and larger enum games do.
 """
 
 from __future__ import annotations
@@ -46,12 +50,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     BackendLimitError,
@@ -61,6 +65,9 @@ from .core import (
     _check_enumeration_limit,
     is_winning,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DP_TABLE_BOUND = 5_000_000
 """Largest integer total weight W, after dividing the weights by their gcd,
@@ -91,6 +98,16 @@ _BETA_CACHE_SIZE = 256
 # 50,000 samples, and 0.4 against 0.55 ms at N = 10 for 2,000, but no
 # perfbench workload has such a game.
 _PLAIN_PLAYERS = 6
+
+# Enumeration splits games of up to this many players in plain Python, with
+# sorted lists and bisect in place of numpy's sort and searchsorted, so no
+# enum count of the shipped corpus imports numpy. Per count of 40 random
+# games, warm, median of 5 runs, two runs each (2-core Xeon, Python 3.11.7,
+# numpy 2.4.6), the Python split took 37-55, 65-69, 110-152, 254-348 and
+# 1,453-1,621 us at N = 7, 8, 10, 12 and 16, against 57-94, 79-94, 129-139,
+# 173-177 and 458-459 us for numpy. Flip rows stay below: at N = 4 they
+# took 16-17 us against 20-21 us for the Python split.
+_SPLIT_PLAYERS = 10
 
 # Draw cells per Monte Carlo chunk, one byte each before packing (256 KiB),
 # and the raw 64-bit words, two cells each, read at a time (64 KiB). Small
@@ -246,15 +263,21 @@ def _without_zero_weights(kernel, weights: tuple[int, ...], threshold: int) -> t
 
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
-    if len(weights) <= _PLAIN_PLAYERS:
+    n = len(weights)
+    if n <= _PLAIN_PLAYERS:
         # Each swing flips the outcome twice: as the player joins the
         # coalition without it, and as it leaves the one with it.
         return tuple(sum(row) // 2 for row in _flip_rows(weights, threshold))
-    # Python integers in object arrays where int64 could overflow.
-    dtype = np.int64 if sum(weights) < _INT64_SAFE else object
-    n = len(weights)
     h = (n + 1) // 2
-    left, right = _subset_sums(weights[:h], dtype), _subset_sums(weights[h:], dtype)
+    if n <= _SPLIT_PLAYERS:
+        left, right = _plain_sums(weights[:h]), _plain_sums(weights[h:])
+        half_betas = _plain_half_betas
+    else:
+        import numpy as np
+        # Python integers in object arrays where int64 could overflow.
+        dtype = np.int64 if sum(weights) < _INT64_SAFE else object
+        left, right = _subset_sums(weights[:h], dtype), _subset_sums(weights[h:], dtype)
+        half_betas = _half_betas
     # The first player of each distinct weight counts for all of them.
     firsts: dict[int, int] = {}
     for i, w in enumerate(weights):
@@ -263,7 +286,7 @@ def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
     for own, other, start, stop in ((left, right, 0, h), (right, left, h, n)):
         bits = {w: i - start for w, i in firsts.items() if start <= i < stop}
         if bits:
-            betas.update(_half_betas(own, other, bits, threshold))
+            betas.update(half_betas(own, other, bits, threshold))
     return tuple(betas[w] for w in weights)
 
 
@@ -271,17 +294,37 @@ def _flip_rows(weights: tuple[int, ...], threshold: int) -> list[list[bool]]:
     """Row i holds, for each coalition m, whether adding player i to m or
     dropping it from m changes the outcome; m holds player j when bit j of m
     is set."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    wins = [s >= threshold for s in sums]
+    wins = [s >= threshold for s in _plain_sums(weights)]
     coalitions = range(len(wins))
     return [[wins[m] != wins[m ^ bit] for m in coalitions]
             for bit in (1 << i for i in range(len(weights)))]
 
 
-def _subset_sums(weights: tuple[int, ...], dtype) -> np.ndarray:
+def _plain_sums(weights: tuple[int, ...]) -> list[int]:
     """sums[m] is the weight of the coalition whose members are the set bits of m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _plain_half_betas(own: list[int], other: list[int], bits: dict[int, int],
+                      threshold: int) -> dict[int, int]:
+    """:func:`_half_betas` over Python lists, by bisection of the sorted
+    other half."""
+    other = sorted(other)
+    betas = {}
+    for w, i in bits.items():
+        # The masks with bit i clear come in runs of 2^i.
+        step = 1 << i
+        betas[w] = sum(bisect_left(other, threshold - a) - bisect_left(other, threshold - w - a)
+                       for start in range(0, len(own), 2 * step) for a in own[start:start + step])
+    return betas
+
+
+def _subset_sums(weights: tuple[int, ...], dtype) -> np.ndarray:
+    """:func:`_plain_sums` in a numpy array of ``dtype``."""
+    import numpy as np
     sums = np.zeros(1 << len(weights), dtype=dtype)
     for i, w in enumerate(weights):
         sums[1 << i : 2 << i] = sums[: 1 << i] + w
@@ -300,6 +343,7 @@ def _half_betas(own: np.ndarray, other: np.ndarray, bits: dict[int, int],
     T - w - a once per player; a player's count is the difference summed
     over the a whose mask has its bit clear.
     """
+    import numpy as np
     # A stable sort: a fresh process that runs numpy's default vectorised
     # sort maps about 300 KB more of numpy's code than one that runs this.
     other = np.sort(other, kind="stable")
@@ -333,6 +377,7 @@ def swing_counts_dp(game: VotingGame) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def _dp_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
+    import numpy as np
     # counts[s] is the number of coalitions of weight s < T. Each is at most
     # 2^N, so int64 holds every cell and prefix sum up to N = 62.
     counts = np.zeros(threshold, dtype=np.int64 if len(weights) <= 62 else object)
@@ -376,12 +421,16 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
     every game of its size and seed; the hits are those of drawing its own
     rows.
     """
+    _check_mc_arguments(samples, seed)
+    weights, threshold, _ = _integer_form(game)
+    return _exact_report(game, _mc_hits(weights, threshold, samples, seed), "mc", samples, seed)
+
+
+def _check_mc_arguments(samples: int, seed: int) -> None:
     if samples < 1:
         raise ValidationError("samples must be a positive integer")
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
-    weights, threshold, _ = _integer_form(game)
-    return _exact_report(game, _mc_hits(weights, threshold, samples, seed), "mc", samples, seed)
 
 
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
@@ -405,6 +454,7 @@ def _mc_hits(weights: tuple[int, ...], threshold: int, samples: int, seed: int) 
 def _coalition_counts(n: int, samples: int, seed: int) -> list[int]:
     """How often each of the 2^N coalitions occurs among the draws of
     :func:`_mc_hits`; coalition m holds player i when bit i of m is set."""
+    import numpy as np
     counts = np.zeros(1 << n, dtype=np.int64)
     for draws in _mc_draws(n, samples, seed):
         counts += np.bincount(np.einsum("ij,j->i", draws, 1 << np.arange(n)), minlength=1 << n)
@@ -413,6 +463,7 @@ def _coalition_counts(n: int, samples: int, seed: int) -> list[int]:
 
 def _packed(draws: np.ndarray) -> np.ndarray:
     """Draw rows at one bit per draw: bit j & 7 of byte j >> 3 is player j."""
+    import numpy as np
     return np.packbits(draws, axis=1, bitorder="little")
 
 
@@ -426,6 +477,7 @@ def _mc_rows(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     least recently read going first. A longer stream is drawn again each
     time it is read.
     """
+    import numpy as np
     key = (n, samples, seed)
     stream = _kept_streams.pop(key, None)
     if stream is None:
@@ -459,6 +511,7 @@ def _mc_draws(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     cell is the sign bit of one little-endian half of ``random_raw``; a
     chunk that ends within a word leaves its high half to the next.
     """
+    import numpy as np
     bits = np.random.default_rng(seed).bit_generator
     rows = max(1, _MC_CHUNK_CELLS // n)
     spare = np.empty(0, dtype="<i4")  # the unread high half of the last word
@@ -493,6 +546,7 @@ def _byte_tables(weights: list[int] | tuple[int, ...]) -> list[tuple[int, np.nda
     positive weight; table[b] is the weight of the players whose bits are
     set in b. A column of zero weights is never read. Every sum of eight
     weights must fit int64."""
+    import numpy as np
     columns = np.zeros(-(-len(weights) // 8) * 8, dtype=np.int64)
     columns[:len(weights)] = weights
     columns = columns.reshape(-1, 8)
@@ -509,6 +563,7 @@ def _row_offsets(rows: np.ndarray, tables: list[list[tuple[int, np.ndarray]]],
     range is clipped to it, which keeps it beyond every weight, where no
     player swings. Python integers when some weight does not fit.
     """
+    import numpy as np
     limbs = []
     for limb_tables in tables:
         limb = np.zeros(len(rows), dtype=np.int64)
@@ -533,6 +588,7 @@ def _row_offsets(rows: np.ndarray, tables: list[list[tuple[int, np.ndarray]]],
 
 def _add_swing_hits(hits: list[int], rows: np.ndarray, offsets: np.ndarray,
                     weights: tuple[int, ...]) -> None:
+    import numpy as np
     # Add to each player's hits the packed rows in which it swings. With
     # x = offsets[r], the row's weight minus T, a member swings when
     # 0 <= x < w and a non-member when -w <= x < 0: the player's bit must

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import VotingGame
-from .engine import PowerReport, power_report
+from .engine import DEFAULT_MC_SAMPLES, PowerReport, _check_mc_arguments, power_report
 from .equity import allocate_board_seats, board_power, classify_foreign_control, float_adjust
 from .ownership import TierVerdict, compare_methods, discrete_propagate, grandfather_equity
 from .scenario import AnalysisSpec, Scenario, resolve_quota
@@ -39,6 +39,13 @@ class RunOptions:
     samples: int | None = None
     seed: int = 0
     interpretation: str = "percent"
+
+    def __post_init__(self) -> None:
+        # Checked up front: most analyses never pass samples or seed to a
+        # sampler, so a bad value would otherwise go unnoticed.
+        if self.backend == "mc":
+            _check_mc_arguments(DEFAULT_MC_SAMPLES if self.samples is None else self.samples,
+                               self.seed)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import votepower
 from votepower import corpus
 from votepower.cli import main
 from votepower.corpus import corpus_dir, verify_corpus
@@ -130,11 +135,17 @@ def test_run_overlong_integer_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_run_mc_negative_seed_exits_2_with_one_line(scenario_path, capsys):
-    assert main(["run", str(scenario_path), "--backend", "mc", "--seed", "-1"]) == 2
-    err = capsys.readouterr().err
-    assert err == "validation error: seed must be a non-negative integer\n"
-    # The exact backends ignore the seed.
-    assert main(["run", str(scenario_path), "--seed", "-1"]) == 0
+    # board_tables passes neither value to a sampler, yet mc rejects both.
+    for path in (scenario_path, corpus_dir() / "board_tables.json"):
+        for flag, value, message in (("--seed", "-1", "seed must be a non-negative integer"),
+                                     ("--samples", "0", "samples must be a positive integer")):
+            assert main(["run", str(path), "--backend", "mc", flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"validation error: {message}\n"
+            # The exact backends ignore both.
+            assert main(["run", str(path), flag, value]) == 0
+            capsys.readouterr()
 
 
 def test_run_accepts_shipped_corpus_files(capsys):
@@ -190,6 +201,53 @@ def test_mutated_corpus_integers_never_raise(tmp_path, capsys):
     # Every run ended in a code, and the mutations reach valid documents,
     # rejected ones and backend limits.
     assert set(codes) == {0, 1, 2}
+
+
+# Runs each argument list through main() and prints, before the first and
+# after each, whether numpy is loaded.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from votepower.cli import main
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _numpy_loaded(runs: list[list[str]], cwd: Path) -> list[bool]:
+    # A fresh interpreter: this one has numpy loaded already.
+    env = {**os.environ, "PYTHONPATH": str(Path(votepower.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _power_scenario(path: Path, players: int) -> str:
+    entities = [{"id": f"P{i}", "name": f"P{i}", "nationality": "domestic"} for i in range(players)]
+    path.write_text(json.dumps({
+        "schema_version": 1, "entities": entities, "graphs": [],
+        "games": [{"id": "g", "quota": {"num": 51, "den": 100},
+                   "players": [{"entity": e["id"], "weight_bp": 100 + 7 * i}
+                               for i, e in enumerate(entities)]}],
+        "analyses": [{"analysis": "power", "game": "g"}]}))
+    return str(path)
+
+
+def test_enum_runs_on_the_corpus_never_load_numpy(tmp_path):
+    runs = [["verify-corpus"], *(["run", str(f)] for f in sorted(corpus_dir().glob("*.json"))),
+            ["run", _power_scenario(tmp_path / "ten.json", 10)]]
+    assert _numpy_loaded(runs, tmp_path) == [False] * (len(runs) + 1)
+
+
+def test_dp_mc_and_larger_enum_games_load_numpy(tmp_path):
+    telecom = str(corpus_dir() / "telecom_blockholders.json")
+    for run in (["run", telecom, "--backend", "dp"],
+                ["run", telecom, "--backend", "mc", "--samples", "64"],
+                ["run", _power_scenario(tmp_path / "eleven.json", 11)]):
+        assert _numpy_loaded([run], tmp_path) == [False, True]
 
 
 def test_verify_corpus_cli(capsys):

@@ -219,15 +219,16 @@ def _small_enum_cases():
         met = next(s for s in itertools.accumulate(sorted(bps, reverse=True)) if 2 * s > total)
         yield _bp_game(bps, Quota.of(met, total))
         yield _bp_game(bps, Quota.unanimous())
-    # Ten players on both sides of the split whose reduced total passes
-    # 2^62, so the halves hold Python integers.
+    # Games on both sides of the Python split's bound whose reduced total
+    # passes 2^62, so numpy's halves hold Python integers.
     primes = [2**13 - 1, 2**17 - 1, 2**19 - 1, 2**31 - 1, 2**61 - 1]
-    players = [
-        Player(f"P{i}", f"P{i}", Nationality.domestic(),
-               Weight(1 + i % 4 + Fraction(1, primes[i % 5])))
-        for i in range(10)
-    ]
-    yield make_game(Quota.of(51, 100), players)
+    for n in (engine._SPLIT_PLAYERS, engine._SPLIT_PLAYERS + 1):
+        players = [
+            Player(f"P{i}", f"P{i}", Nationality.domestic(),
+                   Weight(1 + i % 4 + Fraction(1, primes[i % 5])))
+            for i in range(n)
+        ]
+        yield make_game(Quota.of(51, 100), players)
 
 
 def _plain_cases():
@@ -253,15 +254,38 @@ def _plain_cases():
 
 def test_enum_matches_fraction_reference_on_small_games():
     cases = list(_plain_cases()) + list(_small_enum_cases())
-    positive = {g.n - _integer_form(g)[0].count(0) for g in cases}
-    # Both sides of the plain-Python bound, zero weights and a Python-int
-    # game that splits.
-    assert {engine._PLAIN_PLAYERS, engine._PLAIN_PLAYERS + 1} <= positive
-    assert any(0 in _integer_form(g)[0] for g in cases)
-    assert sum(_integer_form(cases[-1])[0]) >= 2**62 and cases[-1].n > engine._PLAIN_PLAYERS
+    # Both sides of the flip-row bound and of the Python split's bound, each
+    # with zero weights, repeated weights and a Python-int game.
+    forms = [_integer_form(g)[0] for g in cases]
+    for n in (engine._PLAIN_PLAYERS, engine._PLAIN_PLAYERS + 1,
+              engine._SPLIT_PLAYERS, engine._SPLIT_PLAYERS + 1):
+        sized = [w for w in forms if len(w) - w.count(0) == n]
+        assert any(0 in w for w in sized)
+        assert any(len({x for x in w if x}) < n for w in sized)
+    for n in (engine._SPLIT_PLAYERS, engine._SPLIT_PLAYERS + 1):
+        assert any(g.n == n and sum(_integer_form(g)[0]) >= 2**62 for g in cases)
     engine._enum_betas.cache_clear()
     mismatches = [g for g in cases if list(swing_counts_enum(g)) != _fraction_betas(g)]
     assert mismatches == []
+
+
+def test_plain_split_matches_the_numpy_split(monkeypatch):
+    rng = random.Random(77)
+    cases = []
+    for n in range(engine._PLAIN_PLAYERS + 1, engine._SPLIT_PLAYERS + 3):
+        for _ in range(20):
+            weights = tuple(rng.choice((rng.randint(1, 9), rng.randint(1, 2**40)))
+                            for _ in range(n))
+            # Some coalition weighs exactly the threshold.
+            cases.append((weights, max(1, sum(w for w in weights if rng.random() < 0.5))))
+    betas = []
+    for bound in (engine._SPLIT_PLAYERS, 0):
+        monkeypatch.setattr(engine, "_SPLIT_PLAYERS", bound)
+        engine._enum_betas.cache_clear()
+        betas.append([engine._enum_betas(w, t) for w, t in cases])
+    plain, numpy_split = betas
+    assert plain == numpy_split
+    engine._enum_betas.cache_clear()
 
 
 def test_plain_mc_hits_match_the_row_path(monkeypatch):
