@@ -37,7 +37,6 @@ class CheckOutcome:
     interpretation: str
     passed: bool
     mismatches: tuple[str, ...] = ()
-    note: str | None = None
     divergence: str | None = None
 
 
@@ -147,7 +146,6 @@ def verify_document(document: dict, name: str) -> list[CheckOutcome]:
                     interpretation=interpretation,
                     passed=not mismatches,
                     mismatches=tuple(mismatches),
-                    note=check.get("note"),
                     divergence=divergence,
                 )
             )

@@ -32,17 +32,18 @@ weight is summed exactly from per-byte tables of the weights of eight
 players, skipping the bytes of zero-weight players, and a player is checked
 only in the rows whose weight lies within its own weight of T.
 
-Tiny games, of at most ``_PLAIN_PLAYERS`` players, are counted in plain
-Python in one pass over their 2^N coalitions, where numpy's per-call cost
-would exceed the count: a player swings wherever its joining or leaving a
-coalition flips the outcome. Enumeration takes beta as half the flips. Under
-mc, a tiny game with no more coalitions than samples sums the draw counts of
-the flipped coalitions, from one histogram of the draws shared by every game
-of its size, so the ownership tiers' many tiny games draw once per size.
-Enumeration splits games of up to ``_SPLIT_PLAYERS`` players in plain Python
-too, over sorted lists and ``bisect``. numpy is imported by the kernels that
-use it, on their first call, so a process whose games all stay within those
-bounds under enumeration never loads it; dp, mc and larger enum games do.
+Enumeration holds the halves' sums in one of two forms: plain Python lists,
+searched with ``bisect``, for games of at most ``_SPLIT_PLAYERS``
+positive-weight players and for any game whose weights sum to 2^62 or more,
+and numpy int64 arrays for the rest. Under mc, a tiny game, of at most
+``_PLAIN_PLAYERS`` players and no more coalitions than samples, is counted in
+plain Python in one pass over its 2^N coalitions: a player swings wherever
+its joining or leaving a coalition flips the outcome, and each flip counts as
+often as the draws hold that coalition, from one histogram of the draws
+shared by every game of its size, so the ownership tiers' many tiny games
+draw once per size. numpy is imported by the kernels that use it, on their
+first call, so a process whose games all take enumeration's Python lists
+never loads it; dp, mc and enum games of 11-24 players summing below 2^62 do.
 """
 
 from __future__ import annotations
@@ -82,21 +83,16 @@ _INT64_SAFE = 2**62
 # samples and seed too, so reports on the same game in one process count it once.
 _BETA_CACHE_SIZE = 256
 
-# The one small-game bound of both kernels: games of at most this many
-# players are counted in plain Python, from one flip row per player over the
-# 2^N coalitions (:func:`_flip_rows`), by enumeration and, when 2^N <=
-# samples, from an mc histogram of the draws. Larger games split in two
-# halves under enumeration and draw their own rows under mc. Per count of 20
-# random games, median of 5 runs (2-core Xeon, Python 3.11.7, numpy 2.4.6),
-# plain Python against numpy took, for enum, 10-15 against 34-48 us at
-# N = 4, 34-36 against 45-51 us at N = 6 and 76-91 against 60-68 us at
-# N = 7; for the mc histogram, 11-17 against 54-98 us at N = 4 and 37-54
-# against 80-85 us at N = 6. At N = 7, numpy over all 2^N coalitions in one
-# half costs what the split does (85 us). A numpy histogram would count an
-# mc game of 7-15 players faster than drawing its rows, 2.7 against 5.7 ms
-# at N = 7, 3.1 against 7.5 at N = 10 and 4.0 against 5.7 at N = 15 for
-# 50,000 samples, and 0.4 against 0.55 ms at N = 10 for 2,000, but no
-# perfbench workload has such a game.
+# The small-game bound of mc alone: a game of at most this many players with
+# 2^N <= samples is counted in plain Python from an mc histogram of the draws,
+# one flip row per player over the 2^N coalitions (:func:`_flip_rows`); a
+# larger game draws its own rows. Per count of 20 random games, median of 5
+# runs (2-core Xeon, Python 3.11.7, numpy 2.4.6), plain Python against numpy
+# took 11-17 against 54-98 us at N = 4 and 37-54 against 80-85 us at N = 6.
+# A numpy histogram would count an mc game of 7-15 players faster than
+# drawing its rows, 2.7 against 5.7 ms at N = 7, 3.1 against 7.5 at N = 10
+# and 4.0 against 5.7 at N = 15 for 50,000 samples, and 0.4 against 0.55 ms
+# at N = 10 for 2,000, but no perfbench workload has such a game.
 _PLAIN_PLAYERS = 6
 
 # Enumeration splits games of up to this many players in plain Python, with
@@ -105,8 +101,13 @@ _PLAIN_PLAYERS = 6
 # games, warm, median of 5 runs, two runs each (2-core Xeon, Python 3.11.7,
 # numpy 2.4.6), the Python split took 37-55, 65-69, 110-152, 254-348 and
 # 1,453-1,621 us at N = 7, 8, 10, 12 and 16, against 57-94, 79-94, 129-139,
-# 173-177 and 458-459 us for numpy. Flip rows stay below: at N = 4 they
-# took 16-17 us against 20-21 us for the Python split.
+# 173-177 and 458-459 us for numpy. It counts the smallest games too: per
+# game, median of 7 (same machine), it took 6-8, 11-12 and 19-21 us at
+# N = 2, 4 and 6, against 4, 9 and 31 us for one pass over the 2^N
+# coalitions' flip rows. From a total of 2^62, where int64 could overflow,
+# it also counts the larger games: at 70-bit weights it took 0.19, 1.03-1.07,
+# 6.2-6.6 and 37 ms at N = 12, 16, 20 and 24, against 0.24-0.25, 1.19-1.20,
+# 6.6-6.9 and 38-41 ms for numpy arrays of Python integers.
 _SPLIT_PLAYERS = 10
 
 # Draw cells per Monte Carlo chunk, one byte each before packing (256 KiB),
@@ -241,10 +242,12 @@ def swing_counts_enum(game: VotingGame) -> tuple[int, ...]:
 
     It splits the positive-weight players into two halves and counts each
     player's swings from the two halves' subset sums by meet-in-the-middle,
-    so it holds about 2^(N/2) sums rather than 2^N. Zero-weight players are
-    left out of the count and scale it back; only the positive-weight
-    players count towards ``DEFAULT_ENUMERATION_LIMIT``, above which it
-    raises :class:`EnumerationLimitError`.
+    so it holds about 2^(N/2) sums rather than 2^N. The sums are Python
+    lists for up to ``_SPLIT_PLAYERS`` players or a total of 2^62 or more,
+    and numpy int64 arrays otherwise. Zero-weight players are left out of
+    the count and scale it back; only the positive-weight players count
+    towards ``DEFAULT_ENUMERATION_LIMIT``, above which it raises
+    :class:`EnumerationLimitError`.
     """
     weights, threshold, _ = _integer_form(game)
     _check_enumeration_limit(len(weights) - weights.count(0))
@@ -264,19 +267,13 @@ def _without_zero_weights(kernel, weights: tuple[int, ...], threshold: int) -> t
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
     n = len(weights)
-    if n <= _PLAIN_PLAYERS:
-        # Each swing flips the outcome twice: as the player joins the
-        # coalition without it, and as it leaves the one with it.
-        return tuple(sum(row) // 2 for row in _flip_rows(weights, threshold))
     h = (n + 1) // 2
-    if n <= _SPLIT_PLAYERS:
+    # Python lists for small games and wherever int64 sums could overflow.
+    if n <= _SPLIT_PLAYERS or sum(weights) >= _INT64_SAFE:
         left, right = _plain_sums(weights[:h]), _plain_sums(weights[h:])
         half_betas = _plain_half_betas
     else:
-        import numpy as np
-        # Python integers in object arrays where int64 could overflow.
-        dtype = np.int64 if sum(weights) < _INT64_SAFE else object
-        left, right = _subset_sums(weights[:h], dtype), _subset_sums(weights[h:], dtype)
+        left, right = _subset_sums(weights[:h]), _subset_sums(weights[h:])
         half_betas = _half_betas
     # The first player of each distinct weight counts for all of them.
     firsts: dict[int, int] = {}
@@ -293,7 +290,7 @@ def _enum_betas(weights: tuple[int, ...], threshold: int) -> tuple[int, ...]:
 def _flip_rows(weights: tuple[int, ...], threshold: int) -> list[list[bool]]:
     """Row i holds, for each coalition m, whether adding player i to m or
     dropping it from m changes the outcome; m holds player j when bit j of m
-    is set."""
+    is set. Only the mc histogram of tiny games reads them."""
     wins = [s >= threshold for s in _plain_sums(weights)]
     coalitions = range(len(wins))
     return [[wins[m] != wins[m ^ bit] for m in coalitions]
@@ -322,10 +319,10 @@ def _plain_half_betas(own: list[int], other: list[int], bits: dict[int, int],
     return betas
 
 
-def _subset_sums(weights: tuple[int, ...], dtype) -> np.ndarray:
-    """:func:`_plain_sums` in a numpy array of ``dtype``."""
+def _subset_sums(weights: tuple[int, ...]) -> np.ndarray:
+    """:func:`_plain_sums` in a numpy int64 array."""
     import numpy as np
-    sums = np.zeros(1 << len(weights), dtype=dtype)
+    sums = np.zeros(1 << len(weights), dtype=np.int64)
     for i, w in enumerate(weights):
         sums[1 << i : 2 << i] = sums[: 1 << i] + w
     return sums

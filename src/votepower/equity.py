@@ -173,8 +173,11 @@ def board_power(
     ``allocation`` is the game's :func:`allocate_board_seats`. The board game
     gives every stockholder a weight of seats/board_size, so whenever the
     board size divides the weights evenly the board-level power mirrors the
-    stockholder-level power exactly.
+    stockholder-level power exactly. An allocation whose ids are not the
+    game's player ids, in order, raises :class:`ValidationError`.
     """
+    if [player_id for player_id, _ in allocation.seats] != [p.id for p in game.players]:
+        raise ValidationError("the seat allocation does not name the game's players in order")
     players = [
         replace(p, weight=Weight(Fraction(seats * BP_PER_UNIT, allocation.board_size)))
         for p, (_, seats) in zip(game.players, allocation.seats)

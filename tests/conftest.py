@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import random
 
-from votepower import Nationality, Player, Quota, Weight, make_game
+from votepower import (
+    Nationality,
+    Player,
+    Quota,
+    Weight,
+    enumerate_coalitions,
+    is_critical,
+    make_game,
+)
 
 QUOTA_CHOICES = (
     Quota.of(51, 100),
@@ -36,3 +44,13 @@ def random_game(rng: random.Random, max_players: int = 16, max_weight: int = 60)
         for i, w in enumerate(weights)
     ]
     return make_game(rng.choice(QUOTA_CHOICES), players)
+
+
+def fraction_betas(g) -> list[int]:
+    """Swing counts from the coalition stream and ``is_critical``, in Fraction arithmetic."""
+    betas = [0] * g.n
+    for coalition, wins in enumerate_coalitions(g):
+        if wins:
+            for player_id in coalition.member_ids(g):
+                betas[g.index_of(player_id)] += is_critical(g, coalition, player_id)
+    return betas

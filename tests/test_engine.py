@@ -31,7 +31,7 @@ from votepower import (
 )
 from votepower import core, engine
 from votepower.engine import DpTableLimitError, _dp_betas, _integer_form
-from conftest import game
+from conftest import fraction_betas, game
 
 CRITICAL_TABLES = [
     (51, [50, 49, 1], (3, 1, 1)),
@@ -195,16 +195,6 @@ def test_beta_bounded_by_half_powerset():
         assert all(beta <= bound for beta in swing_counts_enum(g))
 
 
-def _fraction_betas(g) -> list[int]:
-    """Swing counts from the coalition stream and ``is_critical``, in Fraction arithmetic."""
-    betas = [0] * g.n
-    for coalition, wins in enumerate_coalitions(g):
-        if wins:
-            for player_id in coalition.member_ids(g):
-                betas[g.index_of(player_id)] += is_critical(g, coalition, player_id)
-    return betas
-
-
 def _small_enum_cases():
     rng = random.Random(1991)
     for positive in range(1, 13):
@@ -254,25 +244,25 @@ def _plain_cases():
 
 def test_enum_matches_fraction_reference_on_small_games():
     cases = list(_plain_cases()) + list(_small_enum_cases())
-    # Both sides of the flip-row bound and of the Python split's bound, each
-    # with zero weights, repeated weights and a Python-int game.
+    # One positive-weight player, and both sides of the Python split's bound,
+    # each with zero weights; the two sides also with repeated weights and a
+    # Python-int game.
     forms = [_integer_form(g)[0] for g in cases]
-    for n in (engine._PLAIN_PLAYERS, engine._PLAIN_PLAYERS + 1,
-              engine._SPLIT_PLAYERS, engine._SPLIT_PLAYERS + 1):
+    for n in (1, engine._SPLIT_PLAYERS, engine._SPLIT_PLAYERS + 1):
         sized = [w for w in forms if len(w) - w.count(0) == n]
         assert any(0 in w for w in sized)
-        assert any(len({x for x in w if x}) < n for w in sized)
+        assert n == 1 or any(len({x for x in w if x}) < n for w in sized)
     for n in (engine._SPLIT_PLAYERS, engine._SPLIT_PLAYERS + 1):
         assert any(g.n == n and sum(_integer_form(g)[0]) >= 2**62 for g in cases)
     engine._enum_betas.cache_clear()
-    mismatches = [g for g in cases if list(swing_counts_enum(g)) != _fraction_betas(g)]
+    mismatches = [g for g in cases if list(swing_counts_enum(g)) != fraction_betas(g)]
     assert mismatches == []
 
 
 def test_plain_split_matches_the_numpy_split(monkeypatch):
     rng = random.Random(77)
     cases = []
-    for n in range(engine._PLAIN_PLAYERS + 1, engine._SPLIT_PLAYERS + 3):
+    for n in range(1, engine._SPLIT_PLAYERS + 3):
         for _ in range(20):
             weights = tuple(rng.choice((rng.randint(1, 9), rng.randint(1, 2**40)))
                             for _ in range(n))
@@ -286,6 +276,42 @@ def test_plain_split_matches_the_numpy_split(monkeypatch):
     plain, numpy_split = betas
     assert plain == numpy_split
     engine._enum_betas.cache_clear()
+
+
+def _beyond_int64_games():
+    """Games of 11, 12 and 16 positive-weight players whose reduced total
+    passes 2^62, with a repeated weight, under a quota some coalition meets
+    exactly and under unanimity; the two smaller ones also hold zero weights."""
+    rng = random.Random(62)
+    for n in (11, 12, 16):
+        bps = [rng.getrandbits(70) for _ in range(n)]
+        bps[-1] = bps[0]
+        bps += [0] * (2 if n < 16 else 0)
+        rng.shuffle(bps)
+        total = sum(bps)
+        met = next(s for s in itertools.accumulate(sorted(bps, reverse=True)) if 2 * s > total)
+        yield _bp_game(bps, Quota.of(met, total))
+        yield _bp_game(bps, Quota.unanimous())
+
+
+def _mask_betas(weights: tuple[int, ...], threshold: int) -> list[int]:
+    """Each player's swing count over all 2^n masks of the integer weights:
+    the masks without player i whose weight s has T - w_i <= s < T."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return [sum(threshold - w <= s < threshold for m, s in enumerate(sums) if not m >> i & 1)
+            for i, w in enumerate(weights)]
+
+
+def test_enum_beyond_int64_matches_a_mask_count():
+    games = list(_beyond_int64_games())
+    forms = [_integer_form(g) for g in games]
+    assert {len(w) - w.count(0) for w, _, _ in forms} == {11, 12, 16}
+    assert all(total >= 2**62 for _, _, total in forms)
+    engine._enum_betas.cache_clear()
+    for g, (weights, threshold, _) in zip(games, forms):
+        assert list(swing_counts_enum(g)) == _mask_betas(weights, threshold)
 
 
 def test_plain_mc_hits_match_the_row_path(monkeypatch):

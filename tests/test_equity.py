@@ -193,6 +193,15 @@ def test_board_analysis_apportions_seats_once(monkeypatch):
     assert len(calls) == boards
 
 
+def test_board_power_rejects_an_allocation_of_other_players():
+    g3 = game(51, [40, 30, 30])
+    g2 = game(51, [60, 40])
+    reordered = equity.SeatAllocation(tuple(reversed(allocate_board_seats(g3, 5).seats)), 5)
+    for allocation in (allocate_board_seats(g2, 5), reordered):
+        with pytest.raises(ValidationError):
+            board_power(g3, allocation, Quota.percent(51))
+
+
 def test_board_power_requires_positive_size():
     with pytest.raises(ValidationError):
         allocate_board_seats(game(51, [60, 40]), 0)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import compress
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votepower import (
     Nationality,
@@ -22,7 +26,7 @@ from votepower import (
     swing_counts_enum,
     swing_estimate_mc,
 )
-from conftest import QUOTA_CHOICES, random_game
+from conftest import QUOTA_CHOICES, fraction_betas, random_game
 
 
 def test_dp_equals_enum_on_random_games():
@@ -191,3 +195,28 @@ def test_integer_lowering_matches_fraction_definitions():
             )
             sampled = weight_flags | ({Status.DUMMY} if w == 0 or other_dictates else set())
             assert mc.statuses(player.id) == sampled
+
+
+@st.composite
+def _exact_games(draw):
+    """Games of 1-10 players whose bp weights come from a pool of at most
+    four, so zero, repeated and fractional weights are common, under a
+    quota that some coalition's weight meets exactly or under unanimity."""
+    pool = draw(st.lists(st.one_of(st.just(Fraction(0)),
+                                   st.fractions(min_value=0, max_value=100, max_denominator=7)),
+                         min_size=1, max_size=4))
+    bps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    if not any(bps):
+        bps[0] = Fraction(1)
+    met = sum(compress(bps, draw(st.lists(st.booleans(), min_size=len(bps), max_size=len(bps)))))
+    quota = Quota(met / sum(bps)) if met and draw(st.booleans()) else Quota.unanimous()
+    players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(b)) for i, b in enumerate(bps)]
+    return make_game(quota, players, allow_minority_quota=True)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_exact_games())
+def test_exact_kernels_equal_the_fraction_reference(g):
+    reference = tuple(fraction_betas(g))
+    assert swing_counts_enum(g) == reference
+    assert swing_counts_dp(g) == reference
