@@ -116,20 +116,15 @@ def verify_document(document: dict, name: str) -> list[CheckOutcome]:
     scenario = parse(document["scenario"])
     checks = document.get("checks", [])
     outcomes: list[CheckOutcome] = []
-    cache: dict[tuple[int, str], dict] = {}
     for check in checks:
         index = check["analysis"]
         if not 0 <= index < len(scenario.analyses):
             raise ScenarioValidationError(f"{name}: check references analysis {index}")
+        spec = scenario.analyses[index]
         interpretations = check.get("interpretations", list(DEFAULT_INTERPRETATIONS))
         for interpretation in interpretations:
-            key = (index, interpretation)
-            if key not in cache:
-                options = RunOptions(interpretation=interpretation)
-                payload = run_analysis(scenario, scenario.analyses[index], options)
-                cache[key] = result_json(AnalysisResult(index, scenario.analyses[index],
-                                                        interpretation, payload))
-            actual = cache[key]
+            payload = run_analysis(scenario, spec, RunOptions(interpretation=interpretation))
+            actual = result_json(AnalysisResult(index, spec, interpretation, payload))
             mismatches: list[str] = []
             expect = check.get("expect", {})
             if isinstance(expect, dict) and "by_interpretation" in expect:

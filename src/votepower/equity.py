@@ -68,17 +68,21 @@ def classify_foreign_control(
     exceeds every domestic stockholder's; has joint control when it exactly
     equals the best domestic power (and is positive); and otherwise has no
     control. Nationality never aggregates: each foreign player is judged
-    individually. Judge another quota with ``game.with_quota(quota)``.
+    individually. Judge another quota with ``game.with_quota(quota)``. A
+    game with no domestic stockholder raises :class:`ValidationError`, after
+    its power report, since there is no one to compare against.
     """
-    return _classify(game, power_report(game, backend))
+    report = power_report(game, backend)
+    if not any(p.nationality.kind is NationalityKind.DOMESTIC for p in game.players):
+        raise ValidationError("no domestic players to compare against")
+    return _classify(game, report)
 
 
 def _classify(game: VotingGame, report: PowerReport) -> dict[str, ControlClassification]:
-    if not any(p.nationality.kind is NationalityKind.DOMESTIC for p in game.players):
-        raise ValidationError("no domestic players to compare against")
     entries = list(zip(game.players, report.entries))
     best_domestic = max(
-        e.normalized for p, e in entries if p.nationality.kind is NationalityKind.DOMESTIC
+        (e.normalized for p, e in entries if p.nationality.kind is NationalityKind.DOMESTIC),
+        default=Fraction(0),
     )
     verdicts: dict[str, ControlClassification] = {}
     for player, entry in entries:

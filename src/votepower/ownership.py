@@ -422,7 +422,9 @@ def nationality_verdict(
     path-product equity against the same threshold. The power verdict reads
     the target's tier verdict and classifies each foreign ultimate holder by
     the control they end up with at the target tier (holders whose stake was
-    absorbed by an upstream controller have no control).
+    absorbed by an upstream controller have no control). A target tier with
+    no domestic voter judges the foreign voters against a domestic power of
+    0, so a foreign holder that meets the quota alone is its dictator.
     """
     test = control_test(direct_game(graph, target), domestic_threshold)
     shares = _grandfather_shares(graph, target)
@@ -440,11 +442,7 @@ def nationality_verdict(
         holder for holder in graph.ultimate_holders()
         if graph.entity(holder).nationality.kind is NationalityKind.FOREIGN
     ]
-    classifications: dict[str, ControlClassification] = {}
-    if foreign_ids and any(
-        p.nationality.kind is NationalityKind.FOREIGN for p in tier.game.players
-    ):
-        classifications = _classify(tier.game, tier.report)
+    classifications = _classify(tier.game, tier.report)
     foreign_power = tuple(
         (holder, classifications.get(holder, ControlClassification.NO_CONTROL))
         for holder in foreign_ids

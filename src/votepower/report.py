@@ -17,14 +17,13 @@ from .core import VotingGame
 from .engine import DEFAULT_MC_SAMPLES, PowerReport, _check_mc_arguments, power_report
 from .equity import allocate_board_seats, board_power, classify_foreign_control, float_adjust
 from .ownership import TierVerdict, compare_methods, discrete_propagate, grandfather_equity
-from .scenario import AnalysisSpec, Scenario, resolve_quota
+from .scenario import Scenario, resolve_quota
 
 
 def percent_text(value: Fraction) -> str:
     """Render a fraction of 1 as a percentage, two decimals, half-up."""
-    scaled = value * 10_000
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
+    q, r = divmod(value.numerator * 10_000, value.denominator)
+    if 2 * r >= value.denominator:
         q += 1
     return f"{q // 100}.{q % 100:02d}"
 
@@ -51,22 +50,22 @@ class RunOptions:
 @dataclass(frozen=True)
 class AnalysisResult:
     index: int
-    spec: AnalysisSpec
+    spec: dict
     interpretation: str
     payload: dict
 
 
-def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) -> dict:
+def run_analysis(scenario: Scenario, spec: dict, options: RunOptions) -> dict:
     """The machine document of one analysis, without its head."""
     backend = options.backend
 
     def power(game: VotingGame) -> dict:
         return power_json(power_report(game, backend, samples=options.samples, seed=options.seed))
 
-    kind = spec.analysis
+    kind = spec["analysis"]
     if kind in ("power", "classify", "float_adjust", "board"):
-        game = scenario.build_game(spec.game, options.interpretation)
-        body = {"game": spec.game, "input": game_json(game)}
+        game = scenario.build_game(spec["game"], options.interpretation)
+        body = {"game": spec["game"], "input": game_json(game)}
         if kind == "power":
             body["power"] = power(game)
         elif kind == "classify":
@@ -77,27 +76,28 @@ def run_analysis(scenario: Scenario, spec: AnalysisSpec, options: RunOptions) ->
             body |= {"adjusted": game_json(adjusted), "power_before": power(game),
                      "power_after": power(adjusted)}
         else:
-            quota = resolve_quota(spec.quota, options.interpretation) if spec.quota else game.quota
-            allocation = allocate_board_seats(game, spec.board_size)
+            quota = (resolve_quota(spec["quota"], options.interpretation) if "quota" in spec
+                     else game.quota)
+            allocation = allocate_board_seats(game, spec["board_size"])
             report = board_power(game, allocation, quota, backend=backend)
             body |= {"board_size": allocation.board_size,
                      "seats": [{"id": pid, "seats": n} for pid, n in allocation.seats],
                      "board_power": power_json(report)}
         return body
     if kind == "grandfather":
-        graph = scenario.build_graph(spec.graph, options.interpretation)
-        share = grandfather_equity(graph, spec.holder, spec.target)
-        return {"graph": spec.graph, "holder": spec.holder, "target": spec.target,
+        graph = scenario.build_graph(spec["graph"], options.interpretation)
+        share = grandfather_equity(graph, spec["holder"], spec["target"])
+        return {"graph": spec["graph"], "holder": spec["holder"], "target": spec["target"],
                 "share": fraction_json(share), "share_pct": percent_text(share)}
     if kind == "discrete":
-        graph = scenario.build_graph(spec.graph, options.interpretation)
-        return {"graph": spec.graph,
+        graph = scenario.build_graph(spec["graph"], options.interpretation)
+        return {"graph": spec["graph"],
                 "tiers": [tier_json(v) for v in discrete_propagate(graph, backend=backend)]}
     if kind == "compare":
-        graph = scenario.build_graph(spec.graph, options.interpretation)
-        comparison = compare_methods(graph, spec.target, backend=backend)
+        graph = scenario.build_graph(spec["graph"], options.interpretation)
+        comparison = compare_methods(graph, spec["target"], backend=backend)
         return {
-            "graph": spec.graph,
+            "graph": spec["graph"],
             "target": comparison.target,
             "grandfather_game": game_json(comparison.grandfather_game),
             "grandfather_power": power_json(comparison.grandfather_report),
@@ -173,7 +173,7 @@ def tier_json(verdict: TierVerdict) -> dict:
 def result_json(result: AnalysisResult) -> dict:
     """One machine-readable document per analysis: the head, then the body."""
     return {
-        "analysis": result.spec.analysis,
+        "analysis": result.spec["analysis"],
         "index": result.index,
         "quota_interpretation": result.interpretation,
         **result.payload,
@@ -201,7 +201,7 @@ def _power_table(game: dict, power: dict, indent: str = "") -> list[str]:
 def render_table(result: AnalysisResult) -> str:
     """The table text of ``result``, read from its machine document body."""
     body = result.payload
-    kind = result.spec.analysis
+    kind = result.spec["analysis"]
     head = f"== {kind}"
     lines: list[str] = []
     if kind == "power":

@@ -9,9 +9,10 @@ published tables write it both ways.
 
 ``parse`` validates a decoded document into its canonical form, with every
 field in schema order, and ``Scenario.document`` keeps it: it is what
-``dumps`` writes and the only thing two scenarios compare by. ``parse``
-also builds every graph once, so a faulty graph is reported with its
-position whether or not an analysis uses it.
+``dumps`` writes and the only thing two scenarios compare by.
+``Scenario.analyses`` holds the same analysis dicts, which are read by key.
+``parse`` also builds every graph once, so a faulty graph is reported with
+its position whether or not an analysis uses it.
 """
 
 from __future__ import annotations
@@ -128,32 +129,21 @@ def resolve_quota(quota: str | dict, interpretation: str) -> Quota:
     return Quota.of(quota["num"], quota["den"])
 
 
-@dataclass(frozen=True)
-class AnalysisSpec:
-    analysis: str
-    game: str | None = None
-    graph: str | None = None
-    holder: str | None = None
-    target: str | None = None
-    board_size: int | None = None
-    quota: str | dict | None = None
-
-
 _KINDS = {"entity": "entities", "game": "games", "graph": "graphs"}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; ``document`` is the canonical form ``dumps`` writes."""
+    """A validated scenario; ``document`` is the canonical form ``dumps`` writes,
+    and ``analyses`` is the tuple of its canonical analysis dicts."""
 
     document: dict
-    analyses: tuple[AnalysisSpec, ...] = field(init=False, compare=False)
+    analyses: tuple[dict, ...] = field(init=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _graphs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        analyses = tuple(AnalysisSpec(**a) for a in self.document["analyses"])
-        object.__setattr__(self, "analyses", analyses)
+        object.__setattr__(self, "analyses", tuple(self.document["analyses"]))
         object.__setattr__(self, "_index", {
             kind: {item["id"]: item for item in self.document[key]}
             for kind, key in _KINDS.items()

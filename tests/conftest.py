@@ -54,3 +54,19 @@ def fraction_betas(g) -> list[int]:
             for player_id in coalition.member_ids(g):
                 betas[g.index_of(player_id)] += is_critical(g, coalition, player_id)
     return betas
+
+
+def _oracle_betas(bps: list[int], quota: Quota) -> list[int]:
+    """Per player, count the coalitions of the others by a plain subset-sum
+    over their bp weights and keep the sums s with T - w <= s < T."""
+    total = sum(bps)
+    q = quota.threshold
+    threshold = -(-q.numerator * total // q.denominator)
+    betas = []
+    for i, w in enumerate(bps):
+        table = [1] + [0] * total
+        for j, other in enumerate(bps):
+            if j != i:
+                table = [a + (table[s - other] if s >= other else 0) for s, a in enumerate(table)]
+        betas.append(sum(table[max(threshold - w, 0) : threshold]))
+    return betas

@@ -203,6 +203,48 @@ def test_mutated_corpus_integers_never_raise(tmp_path, capsys):
     assert set(codes) == {0, 1, 2}
 
 
+def _fields(node, found):
+    """Append (container, key) for every value under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        found.append((node, key))
+        if isinstance(value, (dict, list)):
+            _fields(value, found)
+    return found
+
+
+def test_structurally_mutated_corpus_never_raises(tmp_path, capsys):
+    # Scenario fuzzing: one value of a shipped scenario replaced by another
+    # JSON type, one key deleted or one list item repeated must end in an
+    # exit code under every backend and format, never in an exception.
+    rng = random.Random(3)
+    scenarios = [json.loads(path.read_text(encoding="utf-8"))["scenario"]
+                 for path in sorted(corpus_dir().glob("*.json"))]
+    others = (None, True, 1.5, "x", [], {})
+    path = tmp_path / "mutated.json"
+    codes = set()
+    for k in range(40):
+        scenario = json.loads(json.dumps(scenarios[k % len(scenarios)]))
+        fields = _fields(scenario, [])
+        mutation = k % 3
+        if mutation == 0:
+            node, key = rng.choice(fields)
+            node[key] = rng.choice([v for v in others if type(v) is not type(node[key])])
+        elif mutation == 1:
+            node, key = rng.choice([(n, key) for n, key in fields if isinstance(n, dict)])
+            del node[key]
+        else:
+            node, key = rng.choice([(n, i) for n, i in fields if isinstance(n, list)])
+            node.insert(key, json.loads(json.dumps(node[key])))
+        path.write_text(json.dumps(scenario))
+        for backend in (["enum"], ["dp"], ["mc", "--samples", "64"]):
+            for fmt in ("machine", "table"):
+                codes.add(main(["run", str(path), "--backend", *backend, "--format", fmt]))
+                capsys.readouterr()
+    # Some mutations leave a valid document and some are rejected.
+    assert {0, 2} <= codes <= {0, 1, 2}
+
+
 # Runs each argument list through main() and prints, before the first and
 # after each, whether numpy is loaded.
 _NUMPY_PROBE = """

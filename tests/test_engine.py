@@ -31,7 +31,7 @@ from votepower import (
 )
 from votepower import core, engine
 from votepower.engine import DpTableLimitError, _dp_betas, _integer_form
-from conftest import fraction_betas, game
+from conftest import _oracle_betas, fraction_betas, game
 
 CRITICAL_TABLES = [
     (51, [50, 49, 1], (3, 1, 1)),
@@ -412,22 +412,6 @@ def test_mc_dictator_probability_is_one():
 def test_mc_requires_positive_samples():
     with pytest.raises(ValidationError):
         swing_estimate_mc(game(51, [60, 40]), 0)
-
-
-def _oracle_betas(bps: list[int], quota: Quota) -> list[int]:
-    """Per player, count the coalitions of the others by a plain subset-sum
-    over their bp weights and keep the sums s with T - w <= s < T."""
-    total = sum(bps)
-    q = quota.threshold
-    threshold = -(-q.numerator * total // q.denominator)
-    betas = []
-    for i, w in enumerate(bps):
-        table = [1] + [0] * total
-        for j, other in enumerate(bps):
-            if j != i:
-                table = [a + (table[s - other] if s >= other else 0) for s, a in enumerate(table)]
-        betas.append(sum(table[max(threshold - w, 0) : threshold]))
-    return betas
 
 
 def _bp_game(bps: list[int], quota: Quota):

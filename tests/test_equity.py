@@ -178,7 +178,7 @@ def test_board_power_mirrors_stockholder_power_when_divisible():
 
 def test_board_analysis_apportions_seats_once(monkeypatch):
     scenario = load(corpus_dir() / "board_tables.json")
-    boards = sum(spec.analysis == "board" for spec in scenario.analyses)
+    boards = sum(spec["analysis"] == "board" for spec in scenario.analyses)
     calls = []
 
     def counted(game, board_size):

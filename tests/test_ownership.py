@@ -286,6 +286,21 @@ def test_nationality_verdict_all_domestic():
     assert verdict.foreign_power == ()
 
 
+@pytest.mark.parametrize("holdings", [
+    [Holding("F", "T", bp(10000))],
+    [Holding("F", "T", bp(7000)), Holding("P", "T", bp(3000))],
+])
+def test_nationality_verdict_with_no_domestic_voter(holdings):
+    # A target held wholly by a foreign stockholder, or by one and the
+    # public float: no domestic voter to compare against, and F dictates.
+    entities = [Entity("F", "F", F), Entity("P", "P", Nationality.public_float()),
+                Entity("T", "T", D)]
+    graph = make_graph(entities, holdings, {"T": Quota.of(51, 100)})
+    verdict = nationality_verdict(graph, "T", Fraction(3, 5))
+    assert verdict.foreign_power == (("F", ControlClassification.DICTATOR),)
+    assert verdict.control_test is verdict.grandfather is ControlTestVerdict.FOREIGN
+
+
 def test_compare_methods_unknown_target():
     with pytest.raises(ValidationError, match="no stockholders"):
         compare_methods(simple_chain(), "A")

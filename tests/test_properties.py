@@ -26,7 +26,7 @@ from votepower import (
     swing_counts_enum,
     swing_estimate_mc,
 )
-from conftest import QUOTA_CHOICES, fraction_betas, random_game
+from conftest import QUOTA_CHOICES, _oracle_betas, fraction_betas, random_game
 
 
 def test_dp_equals_enum_on_random_games():
@@ -220,3 +220,40 @@ def test_exact_kernels_equal_the_fraction_reference(g):
     reference = tuple(fraction_betas(g))
     assert swing_counts_enum(g) == reference
     assert swing_counts_dp(g) == reference
+
+
+@st.composite
+def _bp_games(draw, players: tuple[int, int], max_weight: int):
+    """Integer bp weights, a count in ``players`` of them positive and up to
+    ``max_weight``, with up to two zero weights among them, under a quota
+    that some coalition's weight meets exactly or one of ``QUOTA_CHOICES``,
+    unanimity among them. Returns the weights and the quota."""
+    n = draw(st.integers(*players))
+    positive = draw(st.lists(st.integers(1, max_weight), min_size=n, max_size=n))
+    bps = draw(st.permutations(positive + [0] * draw(st.integers(0, 2))))
+    met = sum(compress(bps, draw(st.lists(st.booleans(), min_size=len(bps), max_size=len(bps)))))
+    if met and draw(st.booleans()):
+        return bps, Quota(Fraction(met, sum(bps)))
+    return bps, draw(st.sampled_from(QUOTA_CHOICES))
+
+
+def _bp_game(bps, quota):
+    players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight.from_bp(w))
+               for i, w in enumerate(bps)]
+    return make_game(quota, players, allow_minority_quota=True)
+
+
+# Above _SPLIT_PLAYERS (10) positive weights, enum splits in numpy int64
+# arrays; above 62, dp's table holds Python integers.
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_bp_games((11, 14), 60))
+def test_numpy_split_equals_the_subset_sum_oracle(case):
+    bps, quota = case
+    assert list(swing_counts_enum(_bp_game(bps, quota))) == _oracle_betas(bps, quota)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_bp_games((63, 64), 3))
+def test_object_dp_equals_the_subset_sum_oracle(case):
+    bps, quota = case
+    assert list(swing_counts_dp(_bp_game(bps, quota))) == _oracle_betas(bps, quota)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -358,6 +359,25 @@ def test_dumps_writes_the_canonical_document():
     (Fraction(1), "100.00"),
     (Fraction(59956007, 10**8), "59.96"),
     (Fraction(60332416, 10**8), "60.33"),
+    (Fraction(1, 20_000), "0.01"),  # exact half ties of a hundredth
+    (Fraction(3, 20_000), "0.02"),
 ])
 def test_percent_rendering_half_up(value, text):
     assert percent_text(value) == text
+
+
+def test_percent_rendering_matches_the_fraction_form():
+    # Reference: scale as a Fraction, which reduces r and the denominator by
+    # their gcd; whether 2r >= den cannot change under that.
+    def reference(value):
+        scaled = value * 10_000
+        q, r = divmod(scaled.numerator, scaled.denominator)
+        q += 2 * r >= scaled.denominator
+        return f"{q // 100}.{q % 100:02d}"
+
+    rng = random.Random(10_000)
+    for _ in range(2000):
+        den = rng.choice((rng.randint(1, 400), 20_000 * rng.randint(1, 50),
+                          10 ** rng.randint(1, 12)))
+        value = Fraction(rng.randint(0, den), den)
+        assert percent_text(value) == reference(value), value
