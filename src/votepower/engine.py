@@ -23,12 +23,12 @@ sampling estimates the absolute index with a 95% confidence half-width for
 games too large for either. Its coalitions are the rows of
 ``numpy.random.default_rng(seed).integers(0, 2, (samples, N))``, equal to
 that call cell for cell, drawn one chunk of bounded size at a time and
-packed at one bit per draw. The draws depend only on the player count,
-sample count and seed, so a process keeps the packed streams of recent
-draws under a fixed byte cap, and a later game of the same size reads its
-stream back instead of drawing again: a meeting's classification and its
-board game, which keeps every stockholder, share one draw. Each row's
-weight is summed exactly from per-byte tables of the weights of eight
+packed at one bit per draw as they are drawn. The draws depend only on the
+player count, sample count and seed, so a process keeps the packed streams
+of recent draws under a fixed byte cap, and a later game of the same size
+reads its stream back instead of drawing again: a meeting's classification
+and its board game, which keeps every stockholder, share one draw. Each
+row's weight is summed exactly from per-byte tables of the weights of eight
 players, skipping the bytes of zero-weight players, and a player is checked
 only in the rows whose weight lies within its own weight of T.
 
@@ -110,11 +110,11 @@ _PLAIN_PLAYERS = 6
 # 6.6-6.9 and 38-41 ms for numpy arrays of Python integers.
 _SPLIT_PLAYERS = 10
 
-# Draw cells per Monte Carlo chunk, one byte each before packing (256 KiB),
-# and the raw 64-bit words, two cells each, read at a time (64 KiB). Small
-# reads leave room for the kept streams: in a forked op of a 150-player mc
-# meeting (2-core Xeon), 2^15 words at a time peaked 0.4 MB higher in RSS
-# for no gain in time.
+# Draws per Monte Carlo chunk, one bool each before packing (256 KiB; up to
+# 2 MiB at N = 1, whose rows are padded to whole bytes), and the raw 64-bit
+# words, two draws each, read at a time (64 KiB). Small reads leave room for
+# the kept streams: 2^15 words at a time peaked 0.4 MB higher in RSS in a
+# forked op of a 150-player mc meeting (2-core Xeon), for no gain in time.
 _MC_CHUNK_CELLS = 2**18
 _MC_RAW_WORDS = 2**13
 
@@ -453,20 +453,14 @@ def _coalition_counts(n: int, samples: int, seed: int) -> list[int]:
     :func:`_mc_hits`; coalition m holds player i when bit i of m is set."""
     import numpy as np
     counts = np.zeros(1 << n, dtype=np.int64)
-    for draws in _mc_draws(n, samples, seed):
-        counts += np.bincount(np.einsum("ij,j->i", draws, 1 << np.arange(n)), minlength=1 << n)
+    for rows in _mc_draws(n, samples, seed):
+        # While N <= 8 a packed row is one byte, and that byte is its coalition.
+        counts += np.bincount(rows[:, 0], minlength=1 << n)
     return counts.tolist()
 
 
-def _packed(draws: np.ndarray) -> np.ndarray:
-    """Draw rows at one bit per draw: bit j & 7 of byte j >> 3 is player j."""
-    import numpy as np
-    return np.packbits(draws, axis=1, bitorder="little")
-
-
 def _mc_rows(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The draws of :func:`_mc_draws`, packed by :func:`_packed`, in chunks
-    of the same rows.
+    """The packed rows of :func:`_mc_draws`, in chunks of the same rows.
 
     A stream of at most ``_MC_KEPT_BYTES`` packed bytes is kept, and a later
     game with the same N, sample count and seed reads it back instead of
@@ -480,13 +474,13 @@ def _mc_rows(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     if stream is None:
         width = (n + 7) // 8
         if samples * width > _MC_KEPT_BYTES:
-            yield from map(_packed, _mc_draws(n, samples, seed))
+            yield from _mc_draws(n, samples, seed)
             return
         stream = np.empty((samples, width), dtype=np.uint8)
         start = 0
-        for draws in _mc_draws(n, samples, seed):
-            stream[start:start + len(draws)] = _packed(draws)
-            start += len(draws)
+        for rows in _mc_draws(n, samples, seed):
+            stream[start:start + len(rows)] = rows
+            start += len(rows)
         stream.flags.writeable = False  # later games share the kept array
         while sum(s.nbytes for s in _kept_streams.values()) + stream.nbytes > _MC_KEPT_BYTES:
             del _kept_streams[next(iter(_kept_streams))]
@@ -498,32 +492,29 @@ def _mc_rows(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
 
 def _mc_draws(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """The rows of ``default_rng(seed).integers(0, 2, (samples, N))``,
-    yielded in uint8 row chunks of one byte per draw and at most
-    ``_MC_CHUNK_CELLS`` bytes, so memory stays bounded whatever ``samples``
-    is; the raw words behind a chunk are read ``_MC_RAW_WORDS`` at a time.
+    packed at one bit per draw (bit j & 7 of byte j >> 3 is player j), in
+    chunks of an even number of rows and at most ``_MC_CHUNK_CELLS`` draws.
 
-    The concatenated chunks equal that call cell for cell: for two values
-    numpy returns the top bit of one 32-bit draw, and PCG64 serves 32-bit
-    draws as the low, then the high half of each raw 64-bit word. So each
-    cell is the sign bit of one little-endian half of ``random_raw``; a
-    chunk that ends within a word leaves its high half to the next.
+    The rows equal that call cell for cell: for two values numpy returns
+    the top bit of one 32-bit draw, and PCG64 serves 32-bit draws as the
+    low, then the high half of each raw 64-bit word. So each cell is the
+    sign bit of one little-endian half of ``random_raw``, read an even
+    number of rows, at most ``_MC_RAW_WORDS`` words, at a time: every read
+    but the stream's last ends on a whole word.
     """
     import numpy as np
     bits = np.random.default_rng(seed).bit_generator
-    rows = max(1, _MC_CHUNK_CELLS // n)
-    spare = np.empty(0, dtype="<i4")  # the unread high half of the last word
+    rows = max(2, _MC_CHUNK_CELLS // n & ~1)
+    step = max(2, 2 * _MC_RAW_WORDS // n & ~1)
+    chunk = np.zeros((min(rows, samples), -(-n // 8) * 8), dtype=bool)  # pad bits stay 0
     for start in range(0, samples, rows):
-        chunk = np.empty(min(rows, samples - start) * n, dtype=bool)
-        np.less(spare, 0, out=chunk[:spare.size])
-        drawn, spare = spare.size, spare[:0]
-        while drawn < chunk.size:
-            words = bits.random_raw(min(_MC_RAW_WORDS, (chunk.size - drawn + 1) // 2))
-            halves = words.astype("<u8", copy=False).view("<i4")
-            take = min(halves.size, chunk.size - drawn)
-            np.less(halves[:take], 0, out=chunk[drawn:drawn + take])
-            spare = halves[take:].copy()  # a copy, so the words can be freed
-            drawn += take
-        yield chunk.view(np.uint8).reshape(-1, n)
+        count = min(rows, samples - start)
+        for at in range(0, count, step):
+            take = min(step, count - at)
+            words = bits.random_raw((take * n + 1) // 2)
+            halves = words.astype("<u8", copy=False).view("<i4")[:take * n]
+            np.less(halves.reshape(take, n), 0, out=chunk[at:at + take, :n])
+        yield np.packbits(chunk[:count], bitorder="little").reshape(count, -1)
 
 
 def _row_tables(weights: tuple[int, ...]) -> list[list[tuple[int, np.ndarray]]]:

@@ -274,6 +274,14 @@ def _parse_graph(raw: Any, path: str, entity_ids: Container[str]) -> dict:
         if weight < 0:
             _fail(f"{holding_path}.weight_bp", "weight must be non-negative")
         holdings.append({"holder": holder, "corporation": corporation, "weight_bp": weight})
+    # A corporation whose stock carries no votes has no game to play.
+    totals: dict[str, int] = {}
+    for holding in holdings:
+        corporation = holding["corporation"]
+        totals[corporation] = totals.get(corporation, 0) + holding["weight_bp"]
+    for corporation, total in totals.items():
+        if not total:
+            _fail(path, f"holdings in {corporation!r} sum to 0 bp")
     quotas = []
     seen: set[str] = set()
     for i, quota in enumerate(_expect_array(_get(obj, "quotas", path), f"{path}.quotas")):

@@ -168,6 +168,28 @@ def test_run_dp_backend_matches_enum_on_telecom_corpus(capsys):
     assert outputs["dp"].replace('"backend": "dp"', '"backend": "enum"') == outputs["enum"]
 
 
+def test_every_corpus_file_runs_and_the_exact_backends_agree(capsys):
+    # Every shipped file runs under each backend, format and quota reading,
+    # and enum and dp give the same machine documents but for "backend".
+    failures = []
+    for path in sorted(corpus_dir().glob("*.json")):
+        for reading in ("percent", "exact-fraction"):
+            machine = {}
+            for backend in (["enum"], ["dp"], ["mc", "--samples", "200"]):
+                for fmt in ("table", "machine"):
+                    argv = ["run", str(path), "--quota-interpretation", reading,
+                            "--backend", *backend, "--format", fmt]
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                    if code != 0 or err:
+                        failures.append((code, err, argv))
+                    if fmt == "machine":
+                        machine[backend[0]] = out.replace(f'"backend": "{backend[0]}"', "")
+            if machine["enum"] != machine["dp"]:
+                failures.append(("enum and dp differ", path.name, reading))
+    assert failures == []
+
+
 def _integer_fields(node, found):
     """Append (container, key) for every integer value under ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -602,12 +602,13 @@ def test_small_mc_games_match_one_draw_matrix(monkeypatch):
     assert {(n, 2**n + 1) for n in range(bound + 1, 17)} <= {(g.n, s) for g, s in cases}
 
 
-@pytest.mark.parametrize("cells, words", [(None, None), (3 * 5, None), (7, 3), (1, None)])
-@pytest.mark.parametrize("n", [1, 2, 5, 150, 151])
+@pytest.mark.parametrize("cells, words",
+                         [(None, None), (3 * 5, None), (7, 3), (1, None), (80, 24)])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 150, 151])
 def test_mc_draws_are_the_generator_stream(monkeypatch, n, cells, words):
-    # Chunks of odd cell counts leave half a raw word to the next chunk, a
-    # one-cell chunk may be that half alone, and small raw reads split one
-    # chunk across several.
+    # Chunks of even row counts end on a whole raw word, tiny cell counts
+    # still give chunks of two rows, and small raw reads split one chunk
+    # across several; at N = 8 and 16 a packed row has no pad bits.
     if cells is not None:
         monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", cells)
     if words is not None:
@@ -616,8 +617,25 @@ def test_mc_draws_are_the_generator_stream(monkeypatch, n, cells, words):
     for samples in (1, 3, 2 * rows + 1):
         chunks = list(engine._mc_draws(n, samples, 11))
         assert all(c.dtype == np.uint8 and c.nbytes <= 2**21 for c in chunks)
+        assert all(c.shape[1] == (n + 7) // 8 for c in chunks)
+        assert all(len(c) % 2 == 0 for c in chunks[:-1])
         expected = np.random.default_rng(11).integers(0, 2, size=(samples, n), dtype=np.int64)
-        assert np.array_equal(np.concatenate(chunks), expected)
+        drawn = np.unpackbits(np.concatenate(chunks), axis=1, count=n, bitorder="little")
+        assert np.array_equal(drawn, expected)
+
+
+@pytest.mark.parametrize("cells, words", [(None, None), (45, 8)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coalition_counts_are_the_histogram_of_the_draws(monkeypatch, n, cells, words):
+    # Odd sample counts end the stream within a chunk of an even row count,
+    # and within a raw word at odd N.
+    if cells is not None:
+        monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", cells)
+        monkeypatch.setattr(engine, "_MC_RAW_WORDS", words)
+    for samples in (2**n + 1, 3_001, 2 * engine._MC_CHUNK_CELLS // n + 1):
+        draws = np.random.default_rng(4).integers(0, 2, size=(samples, n))
+        expected = np.bincount(draws @ (1 << np.arange(n)), minlength=1 << n)
+        assert engine._coalition_counts.__wrapped__(n, samples, 4) == expected.tolist()
 
 
 def _exact_hits(weights, threshold, samples, seed):
@@ -756,7 +774,7 @@ def test_kept_streams_give_the_fresh_answer(monkeypatch, document, cells):
     fresh = _mc_payloads(document, options)
     assert engine._kept_streams
     assert _mc_payloads(document, options) == fresh
-    # Read back, then drawn, in chunks of other odd row counts.
+    # Read back, then drawn, in chunks of other row counts.
     monkeypatch.setattr(engine, "_MC_CHUNK_CELLS", cells)
     assert _mc_payloads(document, options) == fresh
     engine._kept_streams.clear()

@@ -497,6 +497,35 @@ def test_analyses_give_the_same_payloads_in_either_order(backend):
     assert payloads["forward"] == payloads["reversed"][::-1]
 
 
+@pytest.mark.parametrize("backend", ["enum", "dp"])
+def test_imputations_come_only_from_dictated_corporations(backend):
+    from votepower import scenario
+
+    rng = random.Random(23)
+    imputed = 0
+    for seed in range(40):
+        graph = scenario.parse(_layered_document(seed)).build_graph("g")
+        order = graph.corporations()
+        # Judge one tier first, so propagation resumes from a partial memo.
+        tier_verdict(graph, rng.choice(order), backend=backend)
+        verdicts = {v.corporation: v for v in discrete_propagate(graph, backend=backend)}
+        dictated = {c for c, v in verdicts.items() if v.controller_kind is ControllerKind.DICTATOR}
+
+        def controller(corporation):
+            voter = verdicts[corporation].controller
+            while voter in dictated:
+                voter = verdicts[voter].controller
+            return voter
+
+        for corporation in order:
+            expected = {Imputation(h.holder, controller(h.holder))
+                        for h in graph.holdings_in(corporation) if h.holder in dictated}
+            assert set(verdicts[corporation].imputations) == expected, (seed, corporation)
+            imputed += len(expected)
+    # Not vacuous: the dictated corporations pass on hundreds of blocks.
+    assert imputed > 100
+
+
 def _path_products(edges, holder, target):
     """Every holder-to-target path's stake product, found without memo."""
     if holder == target:

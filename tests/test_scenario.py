@@ -170,6 +170,7 @@ def test_validation_errors_name_the_position():
          graph["quotas"] + [dict(graph["quotas"][0], corporation="P1")],
          "ownership chain contains a cycle"),
         ([dict(edge, weight_bp=10_001)], graph["quotas"], "holdings in 'P2' sum to 10001 bp"),
+        ([dict(edge, weight_bp=0)], graph["quotas"], "holdings in 'P2' sum to 0 bp$"),
         ([edge], [], "no quota recorded for corporation 'P2'"),
         ([edge], graph["quotas"] + [dict(graph["quotas"][0], corporation="P1")],
          "quota given for 'P1', which has no stockholders"),
