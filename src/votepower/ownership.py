@@ -79,7 +79,6 @@ class OwnershipGraph:
     _quota_map: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
     _tiers: dict = field(init=False, repr=False, compare=False)
-    _propagated: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, Entity] = {}
@@ -118,7 +117,6 @@ class OwnershipGraph:
         object.__setattr__(self, "_quota_map", quota_map)
         object.__setattr__(self, "_topo", _topological_order(held, holds))
         object.__setattr__(self, "_tiers", {})
-        object.__setattr__(self, "_propagated", {})
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -328,12 +326,10 @@ def discrete_propagate(graph: OwnershipGraph, *, backend: str = "enum") -> tuple
     block, and any power tie is recorded as joint control. The verdicts
     are kept on the graph per backend and corporation, shared with
     :func:`tier_verdict`, so only the tiers it has not yet judged are
-    played, and every call returns the same tuple in top-down order.
+    played, and every call returns the same verdict objects, top down.
     """
-    if backend not in graph._propagated:
-        verdicts = _resolve(graph, graph.corporations(), backend)
-        graph._propagated[backend] = tuple(verdicts[c] for c in graph.corporations())
-    return graph._propagated[backend]
+    verdicts = _resolve(graph, graph.corporations(), backend)
+    return tuple(verdicts[c] for c in graph.corporations())
 
 
 def tier_verdict(graph: OwnershipGraph, corporation: str, *, backend: str = "enum") -> TierVerdict:

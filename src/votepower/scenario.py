@@ -7,9 +7,10 @@ kept as written and resolved each time a game or graph is built, to either
 67/100 or exactly 2/3 according to the chosen interpretation, because
 published tables write it both ways.
 
-``parse`` validates a decoded document into its canonical form, with every
-field in schema order, and ``Scenario.document`` keeps it: it is what
-``dumps`` writes and the only thing two scenarios compare by.
+One reader, ``_record``, checks and reads every object in the schema order of
+its field table, so an object missing several fields names the first, and
+``parse`` returns the canonical form in that order. ``Scenario.document`` keeps
+it: it is what ``dumps`` writes and the only thing two scenarios compare by.
 ``Scenario.analyses`` holds the same analysis dicts, which are read by key.
 ``parse`` also builds every graph once, so a faulty graph is reported with
 its position whether or not an analysis uses it.
@@ -64,62 +65,132 @@ class ScenarioValidationError(ScenarioError, ValueError):
     """The document violates the schema; the message names the position."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise ScenarioValidationError(f"{path}: {message}")
+class _Fault(Exception):
+    """A schema fault at ``where``, a position below the value being read:
+    each record or array it leaves puts its key or index in front."""
+
+    def __init__(self, message: str, where: str = "") -> None:
+        super().__init__(message)
+        self.where = where
 
 
-def _expect_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
+_Reader = Callable[[Any], Any]  # one JSON value -> the value it stands for
 
 
-def _expect_array(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    return value
+def _record(raw: Any, fields: dict[str, _Reader], optional: dict[str, _Reader] | tuple = ()) -> dict:
+    """Read an object whose keys are ``fields`` (required) and ``optional``,
+    each mapping a key to its reader in schema order: reject unknown keys,
+    name the first missing required key, then read each present key."""
+    if not isinstance(raw, dict):
+        raise _Fault(f"expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in fields and key not in optional:
+            raise _Fault(f"unknown field {key!r}")
+    for key in fields:
+        if key not in raw:
+            raise _Fault(f"missing required field {key!r}")
+    record = {}
+    try:
+        for key, read in fields.items():
+            record[key] = read(raw[key])
+        for key in optional:
+            if key in raw:
+                record[key] = optional[key](raw[key])
+    except _Fault as fault:
+        fault.where = f".{key}{fault.where}"
+        raise
+    return record
 
 
-def _expect_str(value: Any, path: str) -> str:
+def _records(read: Callable[[Any, Any], dict], table: Any,
+             known: dict[str, dict] | None = None, kind: str = "") -> _Reader:
+    """A reader of an array whose items ``read(item, table)`` reads.
+    Given ``known``, the items are ``kind`` items, entered there by id."""
+    def records(value: Any) -> list:
+        if not isinstance(value, list):
+            raise _Fault(f"expected an array, got {type(value).__name__}")
+        items = []
+        try:
+            for i, item in enumerate(value):
+                items.append(read(item, table))
+        except _Fault as fault:
+            fault.where = f"[{i}]{fault.where}"
+            raise
+        if known is not None:
+            known.update(_unique(items, "id", f"{kind} id"))
+        return items
+    return records
+
+
+def _unique(items: list[dict], key: str, what: str, where: str = "") -> dict[str, dict]:
+    """The items of the array ``where`` by ``key``, which none may repeat."""
+    by_key: dict[str, dict] = {}
+    for i, item in enumerate(items):
+        if item[key] in by_key:
+            raise _Fault(f"duplicate {what} {item[key]!r}", f"{where}[{i}].{key}")
+        by_key[item[key]] = item
+    return by_key
+
+
+def _expect_str(value: Any) -> str:
     if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
+        raise _Fault(f"expected a string, got {type(value).__name__}")
     return value
 
 
-def _expect_int(value: Any, path: str) -> int:
+def _expect_int(value: Any) -> int:
     # bool is an int subclass; floats are banned outright by the format.
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
+        raise _Fault(f"expected an integer, got {type(value).__name__}")
     return value
 
 
-def _get(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        _fail(path, f"missing required field {key!r}")
-    return obj[key]
+def _at_least(low: int, message: str) -> _Reader:
+    """A reader of an integer no less than ``low``."""
+    def at_least(value: Any) -> int:
+        if _expect_int(value) < low:
+            raise _Fault(message)
+        return value
+    return at_least
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            _fail(path, f"unknown field {key!r}")
+def _version(value: Any) -> int:
+    if _expect_int(value) != SCHEMA_VERSION:
+        raise _Fault(f"unsupported schema version {value}")
+    return value
 
 
-def _parse_quota(raw: Any, path: str) -> str | dict:
+def _member(names: Container[str], message: str = "") -> _Reader:
+    """A reader of a string in ``names``; ``message`` formats any other, and
+    by default names the fixed set ``names``."""
+    message = message or f"expected one of {sorted(names)}, got {{!r}}"
+    def member(value: Any) -> str:
+        if _expect_str(value) not in names:
+            raise _Fault(message.format(value))
+        return value
+    return member
+
+
+_weight = _at_least(0, "weight must be non-negative")
+_board_size = _at_least(1, "board size must be at least 1")
+_QUOTA = {"num": _expect_int, "den": _expect_int}
+_ENTITY = {"id": _expect_str, "name": _expect_str, "nationality": _member(_NATIONALITIES)}
+_COUNTRY = {"country": _expect_str}
+
+
+def _parse_quota(raw: Any) -> str | dict:
     """Either the symbolic supermajority or an exact ``{num, den}`` pair."""
     if raw == SUPERMAJORITY:
         return SUPERMAJORITY
-    obj = _expect_object(raw, path)
-    _reject_unknown(obj, {"num", "den"}, path)
-    num = _expect_int(_get(obj, "num", path), f"{path}.num")
-    den = _expect_int(_get(obj, "den", path), f"{path}.den")
+    quota = _record(raw, _QUOTA)
+    num, den = quota["num"], quota["den"]
     if den <= 0 or num <= 0:
-        _fail(path, "quota numerator and denominator must be positive")
+        raise _Fault("quota numerator and denominator must be positive")
     if num > den:
-        _fail(path, "quota must not exceed 1")
+        raise _Fault("quota must not exceed 1")
     if 2 * num <= den:
-        _fail(path, "quota must exceed 1/2; one at or below half admits simultaneous dictators")
-    return {"num": num, "den": den}
+        raise _Fault("quota must exceed 1/2; one at or below half admits simultaneous dictators")
+    return quota
 
 
 def resolve_quota(quota: str | dict, interpretation: str) -> Quota:
@@ -190,197 +261,101 @@ def _nationality(entity: dict) -> Nationality:
     return Nationality(_NATIONALITIES[entity["nationality"]], entity.get("country"))
 
 
-_ANALYSIS_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    # kind -> (required fields, optional fields)
-    "power": ({"game"}, set()),
-    "classify": ({"game"}, set()),
-    "float_adjust": ({"game"}, set()),
-    "board": ({"game", "board_size"}, {"quota"}),
-    "grandfather": ({"graph", "holder", "target"}, set()),
-    "discrete": ({"graph"}, set()),
-    "compare": ({"graph", "target"}, set()),
-}
-# analysis field -> the kind of item it names
-_REFERENCES = (("game", "game"), ("graph", "graph"), ("holder", "entity"), ("target", "entity"))
+def _parse_entity(raw: Any, fields: dict[str, _Reader]) -> dict:
+    entity = _record(raw, fields, _COUNTRY)
+    if "country" in entity and entity["nationality"] == "public_float":
+        raise _Fault("a public-float aggregate carries no country label", ".country")
+    return entity
 
 
-def _parse_entity(raw: Any, path: str) -> dict:
-    obj = _expect_object(raw, path)
-    _reject_unknown(obj, {"id", "name", "nationality", "country"}, path)
-    nationality = _expect_str(_get(obj, "nationality", path), f"{path}.nationality")
-    if nationality not in _NATIONALITIES:
-        _fail(f"{path}.nationality", f"expected one of {sorted(_NATIONALITIES)}, got {nationality!r}")
-    country = {}
-    if "country" in obj:
-        country = {"country": _expect_str(obj["country"], f"{path}.country")}
-        if nationality == "public_float":
-            _fail(f"{path}.country", "a public-float aggregate carries no country label")
-    return {
-        "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
-        "name": _expect_str(_get(obj, "name", path), f"{path}.name"),
-        "nationality": nationality,
-        **country,
-    }
-
-
-def _parse_game(raw: Any, path: str, entity_ids: Container[str]) -> dict:
-    obj = _expect_object(raw, path)
-    _reject_unknown(obj, {"id", "quota", "players"}, path)
-    players = []
-    seen: set[str] = set()
-    for i, member in enumerate(_expect_array(_get(obj, "players", path), f"{path}.players")):
-        member_path = f"{path}.players[{i}]"
-        member_obj = _expect_object(member, member_path)
-        _reject_unknown(member_obj, {"entity", "weight_bp"}, member_path)
-        entity = _expect_str(_get(member_obj, "entity", member_path), f"{member_path}.entity")
-        if entity not in entity_ids:
-            _fail(f"{member_path}.entity", f"unknown entity {entity!r}")
-        if entity in seen:
-            _fail(f"{member_path}.entity", f"duplicate player {entity!r}")
-        seen.add(entity)
-        weight = _expect_int(_get(member_obj, "weight_bp", member_path), f"{member_path}.weight_bp")
-        if weight < 0:
-            _fail(f"{member_path}.weight_bp", "weight must be non-negative")
-        players.append({"entity": entity, "weight_bp": weight})
+def _parse_game(raw: Any, fields: dict[str, _Reader]) -> dict:
+    game = _record(raw, fields)
+    players = game["players"]
+    _unique(players, "entity", "player", ".players")
     if not players:
-        _fail(f"{path}.players", "a voting game needs at least one player")
+        raise _Fault("a voting game needs at least one player", ".players")
     if sum(p["weight_bp"] for p in players) == 0:
-        _fail(f"{path}.players", "total voting weight must be positive")
-    return {
-        "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
-        "quota": _parse_quota(_get(obj, "quota", path), f"{path}.quota"),
-        "players": players,
-    }
+        raise _Fault("total voting weight must be positive", ".players")
+    return game
 
 
-def _parse_graph(raw: Any, path: str, entity_ids: Container[str]) -> dict:
-    obj = _expect_object(raw, path)
-    _reject_unknown(obj, {"id", "holdings", "quotas"}, path)
-    holdings = []
-    for i, holding in enumerate(_expect_array(_get(obj, "holdings", path), f"{path}.holdings")):
-        holding_path = f"{path}.holdings[{i}]"
-        holding_obj = _expect_object(holding, holding_path)
-        _reject_unknown(holding_obj, {"holder", "corporation", "weight_bp"}, holding_path)
-        holder = _expect_str(_get(holding_obj, "holder", holding_path), f"{holding_path}.holder")
-        corporation = _expect_str(
-            _get(holding_obj, "corporation", holding_path), f"{holding_path}.corporation"
-        )
-        for field_name, endpoint in (("holder", holder), ("corporation", corporation)):
-            if endpoint not in entity_ids:
-                _fail(f"{holding_path}.{field_name}", f"unknown entity {endpoint!r}")
-        weight = _expect_int(
-            _get(holding_obj, "weight_bp", holding_path), f"{holding_path}.weight_bp"
-        )
-        if weight < 0:
-            _fail(f"{holding_path}.weight_bp", "weight must be non-negative")
-        holdings.append({"holder": holder, "corporation": corporation, "weight_bp": weight})
+def _parse_graph(raw: Any, fields: dict[str, _Reader]) -> dict:
+    graph = _record(raw, fields)
     # A corporation whose stock carries no votes has no game to play.
     totals: dict[str, int] = {}
-    for holding in holdings:
-        corporation = holding["corporation"]
-        totals[corporation] = totals.get(corporation, 0) + holding["weight_bp"]
+    for h in graph["holdings"]:
+        totals[h["corporation"]] = totals.get(h["corporation"], 0) + h["weight_bp"]
     for corporation, total in totals.items():
         if not total:
-            _fail(path, f"holdings in {corporation!r} sum to 0 bp")
-    quotas = []
-    seen: set[str] = set()
-    for i, quota in enumerate(_expect_array(_get(obj, "quotas", path), f"{path}.quotas")):
-        quota_path = f"{path}.quotas[{i}]"
-        quota_obj = _expect_object(quota, quota_path)
-        _reject_unknown(quota_obj, {"corporation", "quota"}, quota_path)
-        corporation = _expect_str(
-            _get(quota_obj, "corporation", quota_path), f"{quota_path}.corporation"
-        )
-        if corporation not in entity_ids:
-            _fail(f"{quota_path}.corporation", f"unknown entity {corporation!r}")
-        if corporation in seen:
-            _fail(f"{quota_path}.corporation", f"duplicate quota for {corporation!r}")
-        seen.add(corporation)
-        quotas.append({
-            "corporation": corporation,
-            "quota": _parse_quota(_get(quota_obj, "quota", quota_path), f"{quota_path}.quota"),
-        })
-    return {
-        "id": _expect_str(_get(obj, "id", path), f"{path}.id"),
-        "holdings": holdings,
-        "quotas": quotas,
-    }
+            raise _Fault(f"holdings in {corporation!r} sum to 0 bp")
+    _unique(graph["quotas"], "corporation", "quota for", ".quotas")
+    return graph
 
 
-def _parse_analysis(raw: Any, path: str, known: dict[str, dict]) -> dict:
-    obj = _expect_object(raw, path)
-    kind = _expect_str(_get(obj, "analysis", path), f"{path}.analysis")
-    if kind not in _ANALYSIS_FIELDS:
-        _fail(f"{path}.analysis", f"expected one of {sorted(_ANALYSIS_FIELDS)}, got {kind!r}")
-    required, optional = _ANALYSIS_FIELDS[kind]
-    _reject_unknown(obj, {"analysis"} | required | optional, path)
-    for field_name in required:
-        _get(obj, field_name, path)
-    values: dict[str, Any] = {"analysis": kind}
-    for field_name, item_kind in _REFERENCES:
-        if field_name in obj:
-            item_id = _expect_str(obj[field_name], f"{path}.{field_name}")
-            if item_id not in known[item_kind]:
-                _fail(f"{path}.{field_name}", f"unknown {item_kind} {item_id!r}")
-            values[field_name] = item_id
+def _parse_analysis(raw: Any, context: tuple[dict, dict[str, dict]]) -> dict:
+    tables, graphs = context
+    kind = raw.get("analysis") if isinstance(raw, dict) else None
+    table = tables.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        # A missing or unknown kind, read with every analysis field allowed.
+        every = {key: read for t in tables.values() for part in t for key, read in part.items()}
+        table = {"analysis": _member(tables)}, every
+    analysis = _record(raw, *table)
+    kind = analysis["analysis"]
     if kind in ("grandfather", "compare"):
         # A grandfather path runs between entities of the graph; a compare
         # target is a corporation the graph gives stockholders.
-        holdings = known["graph"][values["graph"]]["holdings"]
+        holdings = graphs[analysis["graph"]]["holdings"]
         inside = {h["corporation"] for h in holdings}
         if kind == "grandfather":
             inside |= {h["holder"] for h in holdings}
         for field_name in ("holder", "target"):
-            item_id = values.get(field_name)
+            item_id = analysis.get(field_name)
             if item_id is not None and item_id not in inside:
                 what = "is not in" if kind == "grandfather" else "has no stockholders in"
-                _fail(f"{path}.{field_name}", f"{item_id!r} {what} graph {values['graph']!r}")
-    if "board_size" in obj:
-        board_size = _expect_int(obj["board_size"], f"{path}.board_size")
-        if board_size < 1:
-            _fail(f"{path}.board_size", "board size must be at least 1")
-        values["board_size"] = board_size
-    if "quota" in obj:
-        values["quota"] = _parse_quota(obj["quota"], f"{path}.quota")
-    return values
+                raise _Fault(f"{item_id!r} {what} graph {analysis['graph']!r}", f".{field_name}")
+    return analysis
 
 
-def _parse_items(
-    obj: dict, kind: str, parse_item: Callable[..., dict], *context: Any
-) -> dict[str, dict]:
-    """Parse the ``entities``, ``games`` or ``graphs`` array into id -> item."""
-    key = _KINDS[kind]
-    items: dict[str, dict] = {}
-    for i, raw in enumerate(_expect_array(obj.get(key, []), f"$.{key}")):
-        item = parse_item(raw, f"$.{key}[{i}]", *context)
-        if item["id"] in items:
-            _fail(f"$.{key}[{i}].id", f"duplicate {kind} id {item['id']!r}")
-        items[item["id"]] = item
-    return items
+def _arrays(entities: dict, games: dict, graphs: dict) -> dict[str, _Reader]:
+    """Readers of the optional arrays, in schema order, that fill the three dicts by id."""
+    entity = _member(entities, "unknown entity {!r}")
+    game, graph = _member(games, "unknown game {!r}"), _member(graphs, "unknown graph {!r}")
+    # analysis kind -> (required fields, optional fields), each in schema order
+    kind = _expect_str  # a kind that picks its table is valid
+    tables = {
+        "power": ({"analysis": kind, "game": game}, {}),
+        "classify": ({"analysis": kind, "game": game}, {}),
+        "float_adjust": ({"analysis": kind, "game": game}, {}),
+        "board": ({"analysis": kind, "game": game, "board_size": _board_size},
+                  {"quota": _parse_quota}),
+        "grandfather": ({"analysis": kind, "graph": graph, "holder": entity, "target": entity}, {}),
+        "discrete": ({"analysis": kind, "graph": graph}, {}),
+        "compare": ({"analysis": kind, "graph": graph, "target": entity}, {}),
+    }
+    player = {"entity": entity, "weight_bp": _weight}
+    holding = {"holder": entity, "corporation": entity, "weight_bp": _weight}
+    quota = {"corporation": entity, "quota": _parse_quota}
+    return {
+        "entities": _records(_parse_entity, _ENTITY, entities, "entity"),
+        "games": _records(_parse_game, {"id": _expect_str, "quota": _parse_quota,
+                                        "players": _records(_record, player)}, games, "game"),
+        "graphs": _records(_parse_graph, {"id": _expect_str, "holdings": _records(_record, holding),
+                                          "quotas": _records(_record, quota)}, graphs, "graph"),
+        "analyses": _records(_parse_analysis, (tables, graphs)),
+    }
 
 
 def parse(document: Any) -> Scenario:
     """Validate an already-decoded JSON document into a scenario."""
-    obj = _expect_object(document, "$")
-    _reject_unknown(obj, {"schema_version", "entities", "games", "graphs", "analyses"}, "$")
-    version = _expect_int(_get(obj, "schema_version", "$"), "$.schema_version")
-    if version != SCHEMA_VERSION:
-        _fail("$.schema_version", f"unsupported schema version {version}")
-    entities = _parse_items(obj, "entity", _parse_entity)
-    games = _parse_items(obj, "game", _parse_game, entities)
-    graphs = _parse_items(obj, "graph", _parse_graph, entities)
-    known = {"entity": entities, "game": games, "graph": graphs}
-    analyses = [
-        _parse_analysis(raw, f"$.analyses[{i}]", known)
-        for i, raw in enumerate(_expect_array(obj.get("analyses", []), "$.analyses"))
-    ]
-    scenario = Scenario({
-        "schema_version": version,
-        "entities": list(entities.values()),
-        "games": list(games.values()),
-        "graphs": list(graphs.values()),
-        "analyses": analyses,
-    })
+    graphs: dict[str, dict] = {}
+    arrays = _arrays({}, {}, graphs)
+    try:
+        read = _record(document, {"schema_version": _version}, arrays)
+    except _Fault as fault:
+        raise ScenarioValidationError(f"${fault.where}: {fault}") from None
+    scenario = Scenario({"schema_version": read["schema_version"],
+                         **{key: read.get(key, []) for key in arrays}})
     # Building each graph runs make_graph's checks (cycles, duplicate or
     # oversized holdings, quotas) and fills the cache the default
     # interpretation reads; only supermajority quotas differ by interpretation.
@@ -388,7 +363,7 @@ def parse(document: Any) -> Scenario:
         try:
             scenario.build_graph(graph_id)
         except ValidationError as exc:
-            _fail(f"$.graphs[{i}]", str(exc))
+            raise ScenarioValidationError(f"$.graphs[{i}]: {exc}") from exc
     return scenario
 
 

@@ -156,22 +156,14 @@ def test_run_accepts_shipped_corpus_files(capsys):
     assert "methods DIVERGE" in out
 
 
-def test_run_dp_backend_matches_enum_on_telecom_corpus(capsys):
-    # The float-adjusted weights scale to 53,930,000 before dividing by
-    # their gcd of 10,000; the table bound applies to the reduced total.
-    path = str(corpus_dir() / "telecom_blockholders.json")
-    outputs = {}
-    for backend in ("enum", "dp"):
-        assert main(["run", path, "--backend", backend, "--format", "machine"]) == 0
-        outputs[backend] = capsys.readouterr().out
-    assert '"backend": "dp"' in outputs["dp"]
-    assert outputs["dp"].replace('"backend": "dp"', '"backend": "enum"') == outputs["enum"]
-
-
 def test_every_corpus_file_runs_and_the_exact_backends_agree(capsys):
     # Every shipped file runs under each backend, format and quota reading,
-    # and enum and dp give the same machine documents but for "backend".
+    # each machine document names its backend, and enum and dp give the same
+    # machine documents but for "backend".
     failures = []
+    # In telecom_blockholders the float-adjusted weights scale to 53,930,000
+    # before dividing by their gcd of 10,000; dp's table bound applies to the
+    # reduced total.
     for path in sorted(corpus_dir().glob("*.json")):
         for reading in ("percent", "exact-fraction"):
             machine = {}
@@ -184,7 +176,10 @@ def test_every_corpus_file_runs_and_the_exact_backends_agree(capsys):
                     if code != 0 or err:
                         failures.append((code, err, argv))
                     if fmt == "machine":
-                        machine[backend[0]] = out.replace(f'"backend": "{backend[0]}"', "")
+                        tag = f'"backend": "{backend[0]}"'
+                        if tag not in out:
+                            failures.append((f"no {tag}", path.name, reading))
+                        machine[backend[0]] = out.replace(tag, "")
             if machine["enum"] != machine["dp"]:
                 failures.append(("enum and dp differ", path.name, reading))
     assert failures == []
@@ -289,20 +284,28 @@ def _numpy_loaded(runs: list[list[str]], cwd: Path) -> list[bool]:
     return json.loads(proc.stdout)
 
 
-def _power_scenario(path: Path, players: int) -> str:
+def _power_scenario(path: Path, players: int, base: int = 100, step: int = 7) -> str:
     entities = [{"id": f"P{i}", "name": f"P{i}", "nationality": "domestic"} for i in range(players)]
     path.write_text(json.dumps({
         "schema_version": 1, "entities": entities, "graphs": [],
         "games": [{"id": "g", "quota": {"num": 51, "den": 100},
-                   "players": [{"entity": e["id"], "weight_bp": 100 + 7 * i}
+                   "players": [{"entity": e["id"], "weight_bp": base + step * i}
                                for i, e in enumerate(entities)]}],
         "analyses": [{"analysis": "power", "game": "g"}]}))
     return str(path)
 
 
 def test_enum_runs_on_the_corpus_never_load_numpy(tmp_path):
-    runs = [["verify-corpus"], *(["run", str(f)] for f in sorted(corpus_dir().glob("*.json"))),
-            ["run", _power_scenario(tmp_path / "ten.json", 10)]]
+    # Only dp, mc and enum games of 11-24 players whose weights sum below
+    # 2^62 import numpy, in the kernels that use it; the shipped corpus needs
+    # none of them under either reading or format, nor does a game of 16
+    # stockholders whose weights sum to about 2^64.
+    wide = _power_scenario(tmp_path / "wide.json", 16, base=2**60, step=7919)
+    runs = [["verify-corpus"], ["run", _power_scenario(tmp_path / "ten.json", 10)]]
+    runs += [["run", str(f), "--quota-interpretation", reading, "--format", fmt]
+             for f in sorted(corpus_dir().glob("*.json"))
+             for reading in ("percent", "exact-fraction") for fmt in ("table", "machine")]
+    runs += [["run", wide, "--backend", "enum", "--format", fmt] for fmt in ("table", "machine")]
     assert _numpy_loaded(runs, tmp_path) == [False] * (len(runs) + 1)
 
 
@@ -312,6 +315,48 @@ def test_dp_mc_and_larger_enum_games_load_numpy(tmp_path):
                 ["run", telecom, "--backend", "mc", "--samples", "64"],
                 ["run", _power_scenario(tmp_path / "eleven.json", 11)]):
         assert _numpy_loaded([run], tmp_path) == [False, True]
+
+
+def _machine_documents(path: Path, backend: list[str], capsys) -> list[dict]:
+    assert main(["run", str(path), "--backend", *backend, "--format", "machine"]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_every_corpus_file_gives_the_same_documents_with_its_analyses_reversed(tmp_path, capsys):
+    # Tier verdicts are judged on demand and kept per graph, so an analysis
+    # must not depend on which analyses ran before it. Every corpus graph has
+    # two tiers, so one call judges both. In this three-tier chain U1
+    # dictates C1, C1 holds 60% of C2 and C2 30% of C3: run forward, the
+    # second compare judges C3 alone, and must still see C2's block voted by U1.
+    stakes = {"C1": {"U1": 10000}, "C2": {"C1": 6000, "U2": 4000},
+              "C3": {"C2": 3000, "U3": 3500, "U4": 3500}}
+    three_tier = tmp_path / "three_tier.json"
+    three_tier.write_text(json.dumps({"scenario": {
+        "schema_version": 1,
+        "entities": [{"id": x, "name": x, "nationality": "domestic"}
+                     for x in ("U1", "U2", "U3", "U4", *stakes)],
+        "games": [],
+        "graphs": [{"id": "three_tier",
+                    "holdings": [{"holder": h, "corporation": c, "weight_bp": w}
+                                 for c, held in stakes.items() for h, w in held.items()],
+                    "quotas": [{"corporation": c, "quota": {"num": 51, "den": 100}}
+                               for c in stakes]}],
+        "analyses": [{"analysis": "compare", "graph": "three_tier", "target": t}
+                     for t in ("C2", "C3")]}}))
+    reversed_path = tmp_path / "reversed.json"
+    differ = []
+    for path in [*sorted(corpus_dir().glob("*.json")), three_tier]:
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["scenario"]["analyses"].reverse()
+        reversed_path.write_text(json.dumps(entry))
+        for backend in (["enum"], ["mc", "--samples", "200"]):
+            forward = _machine_documents(path, backend, capsys)
+            backward = _machine_documents(reversed_path, backend, capsys)
+            for document in backward:
+                document["index"] = len(forward) - 1 - document["index"]
+            if sorted(backward, key=lambda d: d["index"]) != forward:
+                differ.append((path.name, backend[0]))
+    assert differ == []
 
 
 def test_verify_corpus_cli(capsys):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import votepower
 from votepower import Quota
 from votepower.corpus import corpus_dir, corpus_names
 from votepower.report import percent_text
@@ -106,6 +111,13 @@ def test_validation_errors_name_the_position():
     with pytest.raises(ScenarioValidationError, match="martian"):
         parse(bad)
 
+    # An object missing several fields names the first in schema order.
+    bad = doc()
+    bad["entities"][1] = {"country": "CA"}
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^\$\.entities\[1\]: missing required field 'id'$"):
+        parse(bad)
+
     bad = doc()
     bad["entities"].append({"id": "PF", "name": "float", "nationality": "public_float",
                             "country": "PH"})
@@ -194,6 +206,29 @@ def test_validation_errors_name_the_position():
         with pytest.raises(ScenarioValidationError,
                            match=rf"^\$\.analyses\[0\]\.{field}: {message}$"):
             parse(bad)
+
+
+# Parses the document in argv[1] and prints the error it raises.
+_PARSE_PROBE = """
+import json, sys
+from votepower.scenario import ScenarioValidationError, parse
+try:
+    parse(json.loads(sys.argv[1]))
+except ScenarioValidationError as exc:
+    print(exc)
+"""
+
+
+def test_missing_fields_message_does_not_depend_on_the_hash_seed():
+    # Required fields are checked in schema order, not in the order of a set,
+    # so fresh interpreters with different string hashes name the same one.
+    document = json.dumps(doc(analyses=[{"analysis": "grandfather"}]))
+    src = str(Path(votepower.__file__).parents[1])
+    for seed in ("1", "2", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _PARSE_PROBE, document], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "$.analyses[0]: missing required field 'graph'\n", seed
 
 
 def test_unknown_holder_or_target_names_the_position():
