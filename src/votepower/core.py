@@ -13,7 +13,6 @@ All types are immutable values; they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -50,8 +49,62 @@ class NationalityKind(enum.Enum):
     PUBLIC_FLOAT = "public_float"
 
 
-@dataclass(frozen=True)
-class Nationality:
+# Sets a field of a value under construction, past its frozen __setattr__.
+_assign = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass declares its fields as class annotations, in ``repr`` order,
+    and its ``__init__`` sets each once with ``_assign``. Two values are equal
+    when they are of the same class and their fields are equal, leaving out
+    the fields named in ``_uncompared``; the hash is that of the compared
+    fields. Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    _uncompared: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
+    _compared: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _rational(value: object, what: str, on_float: str) -> Fraction:
+    """A value that is not a ``Fraction`` as an exact one. A float raises
+    ``on_float``, and a value ``Fraction`` cannot read names ``what``."""
+    if isinstance(value, float):
+        raise ValidationError(on_float)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValidationError(f"{what} must be an exact rational, got {value!r}") from None
+
+
+class Nationality(_Value):
     """Nationality tag of a stockholder.
 
     A ``PUBLIC_FLOAT`` tag marks an aggregate of dispersed holders that is
@@ -59,11 +112,15 @@ class Nationality:
     """
 
     kind: NationalityKind
-    country: str | None = None
+    country: str | None
 
-    def __post_init__(self) -> None:
-        if self.kind is NationalityKind.PUBLIC_FLOAT and self.country is not None:
+    def __init__(self, kind: NationalityKind, country: str | None = None) -> None:
+        if not isinstance(kind, NationalityKind):
+            raise ValidationError(f"nationality kind must be a NationalityKind, got {kind!r}")
+        if kind is NationalityKind.PUBLIC_FLOAT and country is not None:
             raise ValidationError("a public-float aggregate carries no country label")
+        _assign(self, "kind", kind)
+        _assign(self, "country", country)
 
     @classmethod
     def domestic(cls, country: str | None = None) -> "Nationality":
@@ -78,19 +135,17 @@ class Nationality:
         return cls(NationalityKind.PUBLIC_FLOAT)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """A voting weight in basis points, always an exact non-negative rational."""
 
     bp: Fraction
 
-    def __post_init__(self) -> None:
-        if isinstance(self.bp, float):
-            raise ValidationError("weights must be exact rationals, not floats")
-        if not isinstance(self.bp, Fraction):
-            object.__setattr__(self, "bp", Fraction(self.bp))
-        if self.bp < 0:
+    def __init__(self, bp: Fraction) -> None:
+        if not isinstance(bp, Fraction):
+            bp = _rational(bp, "voting weight", "weights must be exact rationals, not floats")
+        if bp.numerator < 0:
             raise ValidationError("voting weight must be non-negative")
+        _assign(self, "bp", bp)
 
     @classmethod
     def from_bp(cls, bp: int | Fraction) -> "Weight":
@@ -113,23 +168,27 @@ class Weight:
         return self.bp / total.bp
 
 
-@dataclass(frozen=True)
-class Quota:
+class Quota(_Value):
     """Decision threshold as an exact fraction of total voting weight."""
 
     threshold: Fraction
 
-    def __post_init__(self) -> None:
-        if isinstance(self.threshold, float):
-            raise ValidationError("quota must be an exact rational, not a float")
-        if not isinstance(self.threshold, Fraction):
-            object.__setattr__(self, "threshold", Fraction(self.threshold))
-        if not 0 < self.threshold <= 1:
-            raise ValidationError(f"quota must lie in (0, 1], got {self.threshold}")
+    def __init__(self, threshold: Fraction) -> None:
+        if not isinstance(threshold, Fraction):
+            threshold = _rational(threshold, "quota", "quota must be an exact rational, not a float")
+        if not 0 < threshold.numerator <= threshold.denominator:
+            raise ValidationError(f"quota must lie in (0, 1], got {threshold}")
+        _assign(self, "threshold", threshold)
 
     @classmethod
     def of(cls, numerator: int, denominator: int) -> "Quota":
-        return cls(Fraction(numerator, denominator))
+        try:
+            threshold = Fraction(numerator, denominator)
+        except (TypeError, ZeroDivisionError):
+            raise ValidationError(
+                f"quota must be a ratio of integers, got {numerator!r}/{denominator!r}"
+            ) from None
+        return cls(threshold)
 
     @classmethod
     def percent(cls, percent: int | str | Fraction) -> "Quota":
@@ -142,8 +201,7 @@ class Quota:
         return cls(Fraction(1))
 
 
-@dataclass(frozen=True)
-class Player:
+class Player(_Value):
     """A stockholder entitled to vote."""
 
     id: str
@@ -151,9 +209,16 @@ class Player:
     nationality: Nationality
     weight: Weight
 
+    def __init__(self, id: str, name: str, nationality: Nationality, weight: Weight) -> None:
+        if not isinstance(weight, Weight):
+            raise ValidationError(f"player {id!r}: weight must be a Weight, got {weight!r}")
+        _assign(self, "id", id)
+        _assign(self, "name", name)
+        _assign(self, "nationality", nationality)
+        _assign(self, "weight", weight)
 
-@dataclass(frozen=True)
-class VotingGame:
+
+class VotingGame(_Value):
     """A stockholder meeting: a quota plus per-player exact weights.
 
     The conventional notation is ``{q: w_1, w_2, ...}``; for example
@@ -164,20 +229,22 @@ class VotingGame:
 
     quota: Quota
     players: tuple[Player, ...]
-    total_weight: Weight = field(init=False, compare=False)
-    _positions: dict = field(init=False, repr=False, compare=False)
-    _lowered: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    total_weight: Weight
+    _uncompared = ("total_weight",)
 
-    def __post_init__(self) -> None:
-        players = tuple(self.players)
-        object.__setattr__(self, "players", players)
+    def __init__(self, quota: Quota, players: tuple[Player, ...]) -> None:
+        players = tuple(players)
         if not players:
             raise ValidationError("a voting game needs at least one player")
         total = Fraction(0)
         for player in players:
             total += player.weight.bp
-        object.__setattr__(self, "total_weight", Weight(total))
-        object.__setattr__(self, "_positions", {p.id: i for i, p in enumerate(players)})
+        _assign(self, "quota", quota)
+        _assign(self, "players", players)
+        _assign(self, "total_weight", Weight(total))
+        _assign(self, "_positions", {p.id: i for i, p in enumerate(players)})
+        # The integer form, set by the engine on first use.
+        _assign(self, "_lowered", None)
 
     @property
     def n(self) -> int:
@@ -230,15 +297,15 @@ def make_game(
     return game
 
 
-@dataclass(frozen=True)
-class Coalition:
+class Coalition(_Value):
     """A set of players, encoded as a bitmask over the game's player order."""
 
     mask: int
 
-    def __post_init__(self) -> None:
-        if self.mask < 0:
+    def __init__(self, mask: int) -> None:
+        if mask < 0:
             raise ValidationError("coalition mask must be non-negative")
+        _assign(self, "mask", mask)
 
     @classmethod
     def of(cls, game: VotingGame, player_ids: Iterable[str]) -> "Coalition":

@@ -11,11 +11,11 @@ truth, and verification reports it without failing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
+from .core import _assign, _Value
 from .report import AnalysisResult, RunOptions, result_json, run_analysis
 from .scenario import ScenarioValidationError, parse
 
@@ -30,19 +30,34 @@ def corpus_names() -> list[str]:
     return sorted(p.stem for p in corpus_dir().glob("*.json"))
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(_Value):
     scenario: str
     analysis_index: int
     interpretation: str
     passed: bool
-    mismatches: tuple[str, ...] = ()
-    divergence: str | None = None
+    mismatches: tuple[str, ...]
+    divergence: str | None
+
+    def __init__(self, scenario: str, analysis_index: int, interpretation: str, passed: bool,
+                 mismatches: tuple[str, ...] = (), divergence: str | None = None) -> None:
+        _assign(self, "scenario", scenario)
+        _assign(self, "analysis_index", analysis_index)
+        _assign(self, "interpretation", interpretation)
+        _assign(self, "passed", passed)
+        _assign(self, "mismatches", mismatches)
+        _assign(self, "divergence", divergence)
 
 
-@dataclass
-class CorpusReport:
-    outcomes: list[CheckOutcome] = field(default_factory=list)
+class CorpusReport(_Value):
+    """The outcomes of a corpus verification; mutable, and so unhashable."""
+
+    outcomes: list[CheckOutcome]
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, outcomes: list[CheckOutcome] | None = None) -> None:
+        self.outcomes = [] if outcomes is None else outcomes
 
     @property
     def passed(self) -> bool:

@@ -51,9 +51,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import TYPE_CHECKING
@@ -63,7 +63,9 @@ from .core import (
     Coalition,
     ValidationError,
     VotingGame,
+    _assign,
     _check_enumeration_limit,
+    _Value,
     is_winning,
 )
 
@@ -134,25 +136,40 @@ class Status(enum.Enum):
     VETO = "veto"
 
 
-@dataclass(frozen=True)
-class PlayerPower:
+class PlayerPower(_Value):
     player_id: str
     beta: int
     normalized: Fraction
     absolute: Fraction
     statuses: frozenset[Status]
-    half_width: float | None = None
+    half_width: float | None
+
+    def __init__(self, player_id: str, beta: int, normalized: Fraction, absolute: Fraction,
+                 statuses: frozenset[Status], half_width: float | None = None) -> None:
+        _assign(self, "player_id", player_id)
+        _assign(self, "beta", beta)
+        _assign(self, "normalized", normalized)
+        _assign(self, "absolute", absolute)
+        _assign(self, "statuses", statuses)
+        _assign(self, "half_width", half_width)
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(_Value):
     """Per-player swing counts, indices and status flags for one game."""
 
     entries: tuple[PlayerPower, ...]
     total_swings: int
     backend: str
-    samples: int | None = None
-    seed: int | None = None
+    samples: int | None
+    seed: int | None
+
+    def __init__(self, entries: tuple[PlayerPower, ...], total_swings: int, backend: str,
+                 samples: int | None = None, seed: int | None = None) -> None:
+        _assign(self, "entries", entries)
+        _assign(self, "total_swings", total_swings)
+        _assign(self, "backend", backend)
+        _assign(self, "samples", samples)
+        _assign(self, "seed", seed)
 
     @functools.cached_property
     def _by_id(self) -> dict[str, PlayerPower]:
@@ -232,7 +249,7 @@ def _integer_form(game: VotingGame) -> tuple[tuple[int, ...], int, int]:
         total = sum(weights)
         q = game.quota.threshold
         threshold = -(-q.numerator * total // q.denominator)
-        object.__setattr__(game, "_lowered", (weights, threshold, total))
+        _assign(game, "_lowered", (weights, threshold, total))
     return game._lowered
 
 
@@ -424,9 +441,9 @@ def swing_estimate_mc(game: VotingGame, samples: int, seed: int = 0) -> PowerRep
 
 
 def _check_mc_arguments(samples: int, seed: int) -> None:
-    if samples < 1:
+    if not isinstance(samples, numbers.Integral) or samples < 1:
         raise ValidationError("samples must be a positive integer")
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError("seed must be a non-negative integer")
 
 

@@ -10,7 +10,6 @@ seats.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -21,6 +20,8 @@ from .core import (
     ValidationError,
     VotingGame,
     Weight,
+    _assign,
+    _Value,
     make_game,
 )
 from .engine import PowerReport, Status, power_report
@@ -120,20 +121,21 @@ def float_adjust(game: VotingGame) -> VotingGame:
     if float_share == 1:
         raise ValidationError("the public float holds the entire voting stock")
     scale = 1 - float_share
-    rescaled = [replace(p, weight=Weight(p.weight.bp / scale)) for p in retained]
+    rescaled = [Player(p.id, p.name, p.nationality, Weight(p.weight.bp / scale)) for p in retained]
     return make_game(game.quota, rescaled)
 
 
-@dataclass(frozen=True)
-class SeatAllocation:
+class SeatAllocation(_Value):
     """Board seats per stockholder; the seats always sum to the board size."""
 
     seats: tuple[tuple[str, int], ...]
     board_size: int
 
-    def __post_init__(self) -> None:
-        if sum(s for _, s in self.seats) != self.board_size:
+    def __init__(self, seats: tuple[tuple[str, int], ...], board_size: int) -> None:
+        if sum(s for _, s in seats) != board_size:
             raise ValidationError("seat counts must sum to the board size")
+        _assign(self, "seats", seats)
+        _assign(self, "board_size", board_size)
 
     def vector(self) -> tuple[int, ...]:
         return tuple(count for _, count in self.seats)
@@ -183,7 +185,8 @@ def board_power(
     if [player_id for player_id, _ in allocation.seats] != [p.id for p in game.players]:
         raise ValidationError("the seat allocation does not name the game's players in order")
     players = [
-        replace(p, weight=Weight(Fraction(seats * BP_PER_UNIT, allocation.board_size)))
+        Player(p.id, p.name, p.nationality,
+               Weight(Fraction(seats * BP_PER_UNIT, allocation.board_size)))
         for p, (_, seats) in zip(game.players, allocation.seats)
     ]
     board_game = make_game(quota, players)

@@ -15,7 +15,6 @@ side by side and flags the divergence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -29,6 +28,8 @@ from .core import (
     ValidationError,
     VotingGame,
     Weight,
+    _assign,
+    _Value,
     make_game,
 )
 from .engine import PowerReport, Status, power_report
@@ -44,26 +45,33 @@ class CycleError(ValidationError):
     """The shareholding network contains a cycle."""
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(_Value):
     """A corporation or ultimate holder appearing in the network."""
 
     id: str
     name: str
     nationality: Nationality
 
+    def __init__(self, id: str, name: str, nationality: Nationality) -> None:
+        _assign(self, "id", id)
+        _assign(self, "name", name)
+        _assign(self, "nationality", nationality)
 
-@dataclass(frozen=True)
-class Holding:
+
+class Holding(_Value):
     """A directed stake: ``holder`` owns ``weight`` of ``corporation``."""
 
     holder: str
     corporation: str
     weight: Weight
 
+    def __init__(self, holder: str, corporation: str, weight: Weight) -> None:
+        _assign(self, "holder", holder)
+        _assign(self, "corporation", corporation)
+        _assign(self, "weight", weight)
 
-@dataclass(frozen=True)
-class OwnershipGraph:
+
+class OwnershipGraph(_Value):
     """Validated acyclic shareholding network with per-corporation quotas.
 
     Use :func:`make_graph`. Holdings are expressed in basis points of the
@@ -74,22 +82,18 @@ class OwnershipGraph:
     entities: tuple[Entity, ...]
     holdings: tuple[Holding, ...]
     quotas: tuple[tuple[str, Quota], ...]
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    _held: dict = field(init=False, repr=False, compare=False)
-    _quota_map: dict = field(init=False, repr=False, compare=False)
-    _topo: tuple = field(init=False, repr=False, compare=False)
-    _tiers: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entities: tuple[Entity, ...], holdings: tuple[Holding, ...],
+                 quotas: tuple[tuple[str, Quota], ...]) -> None:
         by_id: dict[str, Entity] = {}
-        for entity in self.entities:
+        for entity in entities:
             if entity.id in by_id:
                 raise ValidationError(f"duplicate entity id {entity.id!r}")
             by_id[entity.id] = entity
         held: dict[str, list[Holding]] = {}
         holds: dict[str, list[Holding]] = {}
         seen_edges: set[tuple[str, str]] = set()
-        for holding in self.holdings:
+        for holding in holdings:
             for endpoint in (holding.holder, holding.corporation):
                 if endpoint not in by_id:
                     raise ValidationError(f"holding references unknown entity {endpoint!r}")
@@ -105,18 +109,21 @@ class OwnershipGraph:
                 raise ValidationError(
                     f"holdings in {corp!r} sum to {total} bp, above the full stock"
                 )
-        quota_map = dict(self.quotas)
+        quota_map = dict(quotas)
         for corp in held:
             if corp not in quota_map:
                 raise ValidationError(f"no quota recorded for corporation {corp!r}")
         for corp in quota_map:
             if corp not in held:
                 raise ValidationError(f"quota given for {corp!r}, which has no stockholders")
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_held", held)
-        object.__setattr__(self, "_quota_map", quota_map)
-        object.__setattr__(self, "_topo", _topological_order(held, holds))
-        object.__setattr__(self, "_tiers", {})
+        _assign(self, "entities", entities)
+        _assign(self, "holdings", holdings)
+        _assign(self, "quotas", quotas)
+        _assign(self, "_by_id", by_id)
+        _assign(self, "_held", held)
+        _assign(self, "_quota_map", quota_map)
+        _assign(self, "_topo", _topological_order(held, holds))
+        _assign(self, "_tiers", {})
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -211,16 +218,18 @@ class ControllerKind(enum.Enum):
     EFFECTIVE = "effective"
 
 
-@dataclass(frozen=True)
-class Imputation:
+class Imputation(_Value):
     """A block voted upstream: ``holder``'s stake is cast by ``voted_by``."""
 
     holder: str
     voted_by: str
 
+    def __init__(self, holder: str, voted_by: str) -> None:
+        _assign(self, "holder", holder)
+        _assign(self, "voted_by", voted_by)
 
-@dataclass(frozen=True)
-class TierVerdict:
+
+class TierVerdict(_Value):
     """Outcome of one corporation's stockholder meeting within the chain."""
 
     corporation: str
@@ -230,6 +239,17 @@ class TierVerdict:
     controller_kind: ControllerKind | None
     joint_controllers: tuple[str, ...]
     imputations: tuple[Imputation, ...]
+
+    def __init__(self, corporation: str, game: VotingGame, report: PowerReport,
+                 controller: str | None, controller_kind: ControllerKind | None,
+                 joint_controllers: tuple[str, ...], imputations: tuple[Imputation, ...]) -> None:
+        _assign(self, "corporation", corporation)
+        _assign(self, "game", game)
+        _assign(self, "report", report)
+        _assign(self, "controller", controller)
+        _assign(self, "controller_kind", controller_kind)
+        _assign(self, "joint_controllers", joint_controllers)
+        _assign(self, "imputations", imputations)
 
 
 def _tier_game(
@@ -343,8 +363,7 @@ def tier_verdict(graph: OwnershipGraph, corporation: str, *, backend: str = "enu
     return _resolve(graph, (corporation,), backend)[corporation]
 
 
-@dataclass(frozen=True)
-class MethodComparison:
+class MethodComparison(_Value):
     """Grandfathered hypothetical game vs the discrete tier verdict."""
 
     target: str
@@ -352,6 +371,14 @@ class MethodComparison:
     grandfather_report: PowerReport
     tier: TierVerdict
     diverges: bool
+
+    def __init__(self, target: str, grandfather_game: VotingGame,
+                 grandfather_report: PowerReport, tier: TierVerdict, diverges: bool) -> None:
+        _assign(self, "target", target)
+        _assign(self, "grandfather_game", grandfather_game)
+        _assign(self, "grandfather_report", grandfather_report)
+        _assign(self, "tier", tier)
+        _assign(self, "diverges", diverges)
 
 
 def compare_methods(graph: OwnershipGraph, target: str, *, backend: str = "enum") -> MethodComparison:
@@ -387,8 +414,7 @@ def compare_methods(graph: OwnershipGraph, target: str, *, backend: str = "enum"
     )
 
 
-@dataclass(frozen=True)
-class NationalityVerdict:
+class NationalityVerdict(_Value):
     """Three readings of a target corporation's nationality."""
 
     target: str
@@ -397,6 +423,17 @@ class NationalityVerdict:
     grandfather: ControlTestVerdict
     foreign_power: tuple[tuple[str, ControlClassification], ...]
     tier: TierVerdict
+
+    def __init__(self, target: str, control_test: ControlTestVerdict,
+                 grandfather_domestic_share: Fraction, grandfather: ControlTestVerdict,
+                 foreign_power: tuple[tuple[str, ControlClassification], ...],
+                 tier: TierVerdict) -> None:
+        _assign(self, "target", target)
+        _assign(self, "control_test", control_test)
+        _assign(self, "grandfather_domestic_share", grandfather_domestic_share)
+        _assign(self, "grandfather", grandfather)
+        _assign(self, "foreign_power", foreign_power)
+        _assign(self, "tier", tier)
 
 
 def direct_game(graph: OwnershipGraph, corporation: str) -> VotingGame:

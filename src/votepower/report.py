@@ -10,10 +10,9 @@ into computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import VotingGame
+from .core import VotingGame, _assign, _Value
 from .engine import DEFAULT_MC_SAMPLES, PowerReport, _check_mc_arguments, power_report
 from .equity import allocate_board_seats, board_power, classify_foreign_control, float_adjust
 from .ownership import TierVerdict, compare_methods, discrete_propagate, grandfather_equity
@@ -32,27 +31,35 @@ def fraction_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    backend: str = "enum"
-    samples: int | None = None
-    seed: int = 0
-    interpretation: str = "percent"
+class RunOptions(_Value):
+    backend: str
+    samples: int | None
+    seed: int
+    interpretation: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, backend: str = "enum", samples: int | None = None, seed: int = 0,
+                 interpretation: str = "percent") -> None:
         # Checked up front: most analyses never pass samples or seed to a
         # sampler, so a bad value would otherwise go unnoticed.
-        if self.backend == "mc":
-            _check_mc_arguments(DEFAULT_MC_SAMPLES if self.samples is None else self.samples,
-                               self.seed)
+        if backend == "mc":
+            _check_mc_arguments(DEFAULT_MC_SAMPLES if samples is None else samples, seed)
+        _assign(self, "backend", backend)
+        _assign(self, "samples", samples)
+        _assign(self, "seed", seed)
+        _assign(self, "interpretation", interpretation)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(_Value):
     index: int
     spec: dict
     interpretation: str
     payload: dict
+
+    def __init__(self, index: int, spec: dict, interpretation: str, payload: dict) -> None:
+        _assign(self, "index", index)
+        _assign(self, "spec", spec)
+        _assign(self, "interpretation", interpretation)
+        _assign(self, "payload", payload)
 
 
 def run_analysis(scenario: Scenario, spec: dict, options: RunOptions) -> dict:

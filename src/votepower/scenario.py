@@ -19,7 +19,6 @@ its position whether or not an analysis uses it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Container
@@ -33,6 +32,8 @@ from .core import (
     VotePowerError,
     VotingGame,
     Weight,
+    _assign,
+    _Value,
     make_game,
 )
 from .ownership import Entity, Holding, OwnershipGraph, make_graph
@@ -203,22 +204,28 @@ def resolve_quota(quota: str | dict, interpretation: str) -> Quota:
 _KINDS = {"entity": "entities", "game": "games", "graph": "graphs"}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """A validated scenario; ``document`` is the canonical form ``dumps`` writes,
-    and ``analyses`` is the tuple of its canonical analysis dicts."""
+    and ``analyses`` is the tuple of its canonical analysis dicts.
+
+    ``_index`` maps each kind of ``_KINDS`` to its items by id, as ``parse``
+    collected them while checking references; without it they are indexed
+    from ``document``.
+    """
 
     document: dict
-    analyses: tuple[dict, ...] = field(init=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
-    _graphs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    analyses: tuple[dict, ...]
+    _uncompared = ("analyses",)
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "analyses", tuple(self.document["analyses"]))
-        object.__setattr__(self, "_index", {
-            kind: {item["id"]: item for item in self.document[key]}
-            for kind, key in _KINDS.items()
-        })
+    def __init__(self, document: dict, _index: dict[str, dict[str, dict]] | None = None) -> None:
+        if _index is None:
+            _index = {kind: {item["id"]: item for item in document[key]}
+                      for kind, key in _KINDS.items()}
+        _assign(self, "document", document)
+        _assign(self, "analyses", tuple(document["analyses"]))
+        _assign(self, "_index", _index)
+        _assign(self, "_graphs", {})
 
     def _lookup(self, kind: str, item_id: str) -> dict:
         try:
@@ -348,18 +355,19 @@ def _arrays(entities: dict, games: dict, graphs: dict) -> dict[str, _Reader]:
 
 def parse(document: Any) -> Scenario:
     """Validate an already-decoded JSON document into a scenario."""
-    graphs: dict[str, dict] = {}
-    arrays = _arrays({}, {}, graphs)
+    # The items of each kind by id, filled as they are read.
+    index: dict[str, dict[str, dict]] = {kind: {} for kind in _KINDS}
+    arrays = _arrays(index["entity"], index["game"], index["graph"])
     try:
         read = _record(document, {"schema_version": _version}, arrays)
     except _Fault as fault:
         raise ScenarioValidationError(f"${fault.where}: {fault}") from None
     scenario = Scenario({"schema_version": read["schema_version"],
-                         **{key: read.get(key, []) for key in arrays}})
+                         **{key: read.get(key, []) for key in arrays}}, index)
     # Building each graph runs make_graph's checks (cycles, duplicate or
     # oversized holdings, quotas) and fills the cache the default
     # interpretation reads; only supermajority quotas differ by interpretation.
-    for i, graph_id in enumerate(graphs):
+    for i, graph_id in enumerate(index["graph"]):
         try:
             scenario.build_graph(graph_id)
         except ValidationError as exc:

@@ -326,14 +326,13 @@ def test_criterion_10_property_suites():
         for p in positives:
             assert unanimity.normalized(p.id) == Fraction(1, len(positives))
 
-    from dataclasses import replace
-
     for g in games[:100]:
         index = rng.randrange(g.n)
         before = swing_counts_enum(g)[index]
         players = list(g.players)
-        players[index] = replace(
-            players[index], weight=Weight(players[index].weight.bp + rng.randint(1, 8)))
+        grown = players[index]
+        players[index] = Player(grown.id, grown.name, grown.nationality,
+                                Weight(grown.weight.bp + rng.randint(1, 8)))
         after = swing_counts_enum(make_game(g.quota, players))[index]
         assert after >= before
 

@@ -317,6 +317,23 @@ def test_dp_mc_and_larger_enum_games_load_numpy(tmp_path):
         assert _numpy_loaded([run], tmp_path) == [False, True]
 
 
+def _modules_loaded(statement: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after ``statement``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(votepower.__file__).parents[1])}
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_the_cold_import_builds_no_class_by_code_generation():
+    # dataclasses writes each class's methods as source and runs exec on it,
+    # and brings in inspect: together most of the package's own import time.
+    loaded = _modules_loaded("import votepower.cli") - _modules_loaded("pass")
+    assert "votepower.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def _machine_documents(path: Path, backend: list[str], capsys) -> list[dict]:
     assert main(["run", str(path), "--backend", *backend, "--format", "machine"]) == 0
     return [json.loads(line) for line in capsys.readouterr().out.splitlines()]

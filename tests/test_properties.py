@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import compress
 
@@ -11,16 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votepower import (
+    Entity,
+    Holding,
     Nationality,
     Player,
     Quota,
     Status,
     Weight,
     enumerate_coalitions,
+    grandfather_equity,
     has_veto,
     is_critical,
     is_dictator,
     make_game,
+    make_graph,
     power_report,
     swing_counts_dp,
     swing_counts_enum,
@@ -70,7 +73,8 @@ def test_swing_count_monotone_in_own_weight():
         before = swing_counts_enum(g)[index]
         players = list(g.players)
         grown = players[index]
-        players[index] = replace(grown, weight=Weight(grown.weight.bp + bump))
+        players[index] = Player(grown.id, grown.name, grown.nationality,
+                                Weight(grown.weight.bp + bump))
         bigger = make_game(g.quota, players)
         after = swing_counts_enum(bigger)[index]
         assert after >= before
@@ -257,3 +261,43 @@ def test_numpy_split_equals_the_subset_sum_oracle(case):
 def test_object_dp_equals_the_subset_sum_oracle(case):
     bps, quota = case
     assert list(swing_counts_dp(_bp_game(bps, quota))) == _oracle_betas(bps, quota)
+
+
+@st.composite
+def _acyclic_stakes(draw):
+    """2-7 entity ids and the holdings (holder, corporation, bp) among them:
+    an id holds stakes only in ids after it in a drawn order, so no cycle
+    forms, and each corporation's holdings sum to at most 10,000 bp, to
+    exactly 10,000 in every corporation when ``full``. Returns the ids,
+    the holdings in a drawn order, and ``full``."""
+    n = draw(st.integers(2, 7))
+    ids = draw(st.permutations([f"e{i}" for i in range(n)]))
+    full = draw(st.booleans())
+    edges = []
+    for j in range(1, n):
+        holders = draw(st.lists(st.sampled_from(ids[:j]), unique=True, max_size=j))
+        if holders:
+            cuts = sorted(draw(st.lists(st.integers(0, 10_000), min_size=len(holders),
+                                        max_size=len(holders))))
+            if full:
+                cuts[-1] = 10_000
+            edges += [(h, ids[j], b - a) for h, a, b in zip(holders, [0] + cuts, cuts)]
+    return ids, draw(st.permutations(edges)), full
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_acyclic_stakes())
+def test_grandfather_shares_into_a_target_sum_to_at_most_one(case):
+    # Stakes in a corporation sum to at most its whole stock, so the equity
+    # its ultimate holders reach through every path sums to at most 1; with
+    # every corporation fully held, to exactly 1.
+    ids, edges, full = case
+    held = {corporation for _, corporation, _ in edges}
+    graph = make_graph([Entity(x, x, Nationality.domestic()) for x in sorted(ids)],
+                       [Holding(h, c, Weight.from_bp(w)) for h, c, w in edges],
+                       {c: Quota.of(2, 3) for c in held})
+    for target in held:
+        total = sum(grandfather_equity(graph, h, target) for h in graph.ultimate_holders())
+        assert 0 <= total <= 1
+        if full:
+            assert total == 1
