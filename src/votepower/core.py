@@ -56,20 +56,51 @@ _assign = object.__setattr__
 class _Value:
     """Base of the immutable value classes.
 
-    A subclass declares its fields as class annotations, in ``repr`` order,
-    and its ``__init__`` sets each once with ``_assign``. Two values are equal
-    when they are of the same class and their fields are equal, leaving out
-    the fields named in ``_uncompared``; the hash is that of the compared
+    A subclass declares its fields once, as class annotations in ``repr``
+    order with optional defaults, and is built by position or by name. A
+    class that checks or derives its fields writes its own ``__init__``,
+    which sets each once with ``_assign``. Two values are equal when they
+    are of the same class and their fields are equal, leaving out the
+    fields named in ``_uncompared``; the hash is that of the compared
     fields. Assigning or deleting an attribute raises ``AttributeError``.
     """
 
     _uncompared: tuple[str, ...] = ()
     _fields: tuple[str, ...]
+    _field_set: frozenset[str]
     _compared: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
         cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        if not named and len(values) == len(self._fields):
+            self.__dict__.update(zip(self._fields, values))
+        elif not values and named.keys() == self._field_set:
+            self.__dict__.update(named)
+        else:
+            self.__dict__.update(self._bind(values, named))
+
+    def _bind(self, values: tuple, named: dict) -> dict:
+        """The fields of any other call, a left-out one from its class default."""
+        owner, fields = self.__class__.__qualname__, self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{owner}() takes {len(fields)} fields ({', '.join(fields)}), "
+                            f"got {len(values)}")
+        bound = dict(zip(fields, values))
+        for name, value in named.items():
+            if name in bound:
+                raise TypeError(f"{owner}() got field {name!r} twice")
+            if name not in self._field_set:
+                raise TypeError(f"{owner}() has no field {name!r}")
+            bound[name] = value
+        defaults = vars(self.__class__)
+        for name in fields:
+            if name not in bound and name not in defaults:
+                raise TypeError(f"{owner}() is missing field {name!r}")
+        return {name: bound[name] if name in bound else defaults[name] for name in fields}
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -102,6 +133,9 @@ def _rational(value: object, what: str, on_float: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ArithmeticError):
         raise ValidationError(f"{what} must be an exact rational, got {value!r}") from None
+
+
+_FLOAT_PERCENT = "pass percentages as strings or rationals, not floats"
 
 
 class Nationality(_Value):
@@ -149,14 +183,12 @@ class Weight(_Value):
 
     @classmethod
     def from_bp(cls, bp: int | Fraction) -> "Weight":
-        return cls(Fraction(bp))
+        return cls(bp)
 
     @classmethod
     def from_percent(cls, percent: int | str | Fraction) -> "Weight":
         """Build a weight from a percentage such as ``"66.63"`` (exact)."""
-        if isinstance(percent, float):
-            raise ValidationError("pass percentages as strings or rationals, not floats")
-        return cls(Fraction(percent) * 100)
+        return cls(_rational(percent, "percentage", _FLOAT_PERCENT) * 100)
 
     @property
     def percent(self) -> Fraction:
@@ -192,9 +224,7 @@ class Quota(_Value):
 
     @classmethod
     def percent(cls, percent: int | str | Fraction) -> "Quota":
-        if isinstance(percent, float):
-            raise ValidationError("pass percentages as strings or rationals, not floats")
-        return cls(Fraction(percent) / 100)
+        return cls(_rational(percent, "quota percentage", _FLOAT_PERCENT) / 100)
 
     @classmethod
     def unanimous(cls) -> "Quota":
@@ -276,13 +306,18 @@ def make_game(
 ) -> VotingGame:
     """Build a validated voting game.
 
-    Rejects duplicate player ids, a non-positive total weight, and (unless
-    ``allow_minority_quota`` is set) a quota at or below half of the total,
-    under which two disjoint winning coalitions could exist at once.
+    Rejects a quota that is not a :class:`Quota`, a player that is not a
+    :class:`Player`, duplicate player ids, a non-positive total weight, and
+    (unless ``allow_minority_quota`` is set) a quota at or below half of the
+    total, under which two disjoint winning coalitions could exist at once.
     """
+    if not isinstance(quota, Quota):
+        raise ValidationError(f"quota must be a Quota, got {quota!r}")
     players = tuple(players)
     seen: set[str] = set()
     for player in players:
+        if not isinstance(player, Player):
+            raise ValidationError(f"a game's players must be Players, got {player!r}")
         if player.id in seen:
             raise ValidationError(f"duplicate player id {player.id!r}")
         seen.add(player.id)

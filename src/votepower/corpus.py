@@ -11,11 +11,10 @@ truth, and verification reports it without failing.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .core import _assign, _Value
+from .core import _Value
 from .report import AnalysisResult, RunOptions, result_json, run_analysis
 from .scenario import ScenarioValidationError, parse
 
@@ -23,7 +22,7 @@ DEFAULT_INTERPRETATIONS = ("percent",)
 
 
 def corpus_dir() -> Path:
-    return Path(resources.files("votepower") / "corpus")
+    return Path(__file__).with_name("corpus")
 
 
 def corpus_names() -> list[str]:
@@ -35,17 +34,8 @@ class CheckOutcome(_Value):
     analysis_index: int
     interpretation: str
     passed: bool
-    mismatches: tuple[str, ...]
-    divergence: str | None
-
-    def __init__(self, scenario: str, analysis_index: int, interpretation: str, passed: bool,
-                 mismatches: tuple[str, ...] = (), divergence: str | None = None) -> None:
-        _assign(self, "scenario", scenario)
-        _assign(self, "analysis_index", analysis_index)
-        _assign(self, "interpretation", interpretation)
-        _assign(self, "passed", passed)
-        _assign(self, "mismatches", mismatches)
-        _assign(self, "divergence", divergence)
+    mismatches: tuple[str, ...] = ()
+    divergence: str | None = None
 
 
 class CorpusReport(_Value):

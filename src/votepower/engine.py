@@ -142,16 +142,7 @@ class PlayerPower(_Value):
     normalized: Fraction
     absolute: Fraction
     statuses: frozenset[Status]
-    half_width: float | None
-
-    def __init__(self, player_id: str, beta: int, normalized: Fraction, absolute: Fraction,
-                 statuses: frozenset[Status], half_width: float | None = None) -> None:
-        _assign(self, "player_id", player_id)
-        _assign(self, "beta", beta)
-        _assign(self, "normalized", normalized)
-        _assign(self, "absolute", absolute)
-        _assign(self, "statuses", statuses)
-        _assign(self, "half_width", half_width)
+    half_width: float | None = None
 
 
 class PowerReport(_Value):
@@ -160,16 +151,8 @@ class PowerReport(_Value):
     entries: tuple[PlayerPower, ...]
     total_swings: int
     backend: str
-    samples: int | None
-    seed: int | None
-
-    def __init__(self, entries: tuple[PlayerPower, ...], total_swings: int, backend: str,
-                 samples: int | None = None, seed: int | None = None) -> None:
-        _assign(self, "entries", entries)
-        _assign(self, "total_swings", total_swings)
-        _assign(self, "backend", backend)
-        _assign(self, "samples", samples)
-        _assign(self, "seed", seed)
+    samples: int | None = None
+    seed: int | None = None
 
     @functools.cached_property
     def _by_id(self) -> dict[str, PlayerPower]:

@@ -10,6 +10,7 @@ seats.
 from __future__ import annotations
 
 import enum
+import numbers
 from fractions import Fraction
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     VotingGame,
     Weight,
     _assign,
+    _rational,
     _Value,
     make_game,
 )
@@ -44,9 +46,8 @@ def control_test(game: VotingGame, domestic_threshold: Fraction) -> ControlTestV
 
     Public-float aggregates count toward the total but not the domestic sum.
     """
-    if isinstance(domestic_threshold, float):
-        raise ValidationError("domestic threshold must be an exact rational")
-    domestic_threshold = Fraction(domestic_threshold)
+    domestic_threshold = _rational(domestic_threshold, "domestic threshold",
+                                   "domestic threshold must be an exact rational")
     if not 0 < domestic_threshold <= 1:
         raise ValidationError("domestic threshold must lie in (0, 1]")
     domestic = Fraction(0)
@@ -69,9 +70,10 @@ def classify_foreign_control(
     exceeds every domestic stockholder's; has joint control when it exactly
     equals the best domestic power (and is positive); and otherwise has no
     control. Nationality never aggregates: each foreign player is judged
-    individually. Judge another quota with ``game.with_quota(quota)``. A
-    game with no domestic stockholder raises :class:`ValidationError`, after
-    its power report, since there is no one to compare against.
+    individually. Judge another quota with ``make_game(quota, game.players)``,
+    which checks it. A game with no domestic stockholder raises
+    :class:`ValidationError`, after its power report, since there is no one
+    to compare against.
     """
     report = power_report(game, backend)
     if not any(p.nationality.kind is NationalityKind.DOMESTIC for p in game.players):
@@ -132,6 +134,9 @@ class SeatAllocation(_Value):
     board_size: int
 
     def __init__(self, seats: tuple[tuple[str, int], ...], board_size: int) -> None:
+        _check_board_size(board_size)
+        if not all(isinstance(s, numbers.Integral) and s >= 0 for _, s in seats):
+            raise ValidationError("seat counts must be non-negative integers")
         if sum(s for _, s in seats) != board_size:
             raise ValidationError("seat counts must sum to the board size")
         _assign(self, "seats", seats)
@@ -141,6 +146,11 @@ class SeatAllocation(_Value):
         return tuple(count for _, count in self.seats)
 
 
+def _check_board_size(board_size: int) -> None:
+    if not isinstance(board_size, numbers.Integral) or board_size < 1:
+        raise ValidationError("board size must be an integer of at least 1")
+
+
 def allocate_board_seats(game: VotingGame, board_size: int) -> SeatAllocation:
     """Apportion board seats proportionally to weight by largest remainder.
 
@@ -148,8 +158,7 @@ def allocate_board_seats(game: VotingGame, board_size: int) -> SeatAllocation:
     leftover seats go to the largest fractional remainders, ties broken by
     larger weight and then input order.
     """
-    if board_size < 1:
-        raise ValidationError("board size must be at least 1")
+    _check_board_size(board_size)
     total = game.total_weight.bp
     shares = [p.weight.bp / total * board_size for p in game.players]
     base = [int(share) for share in shares]

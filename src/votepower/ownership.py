@@ -52,11 +52,6 @@ class Entity(_Value):
     name: str
     nationality: Nationality
 
-    def __init__(self, id: str, name: str, nationality: Nationality) -> None:
-        _assign(self, "id", id)
-        _assign(self, "name", name)
-        _assign(self, "nationality", nationality)
-
 
 class Holding(_Value):
     """A directed stake: ``holder`` owns ``weight`` of ``corporation``."""
@@ -64,11 +59,6 @@ class Holding(_Value):
     holder: str
     corporation: str
     weight: Weight
-
-    def __init__(self, holder: str, corporation: str, weight: Weight) -> None:
-        _assign(self, "holder", holder)
-        _assign(self, "corporation", corporation)
-        _assign(self, "weight", weight)
 
 
 class OwnershipGraph(_Value):
@@ -87,6 +77,8 @@ class OwnershipGraph(_Value):
                  quotas: tuple[tuple[str, Quota], ...]) -> None:
         by_id: dict[str, Entity] = {}
         for entity in entities:
+            if not isinstance(entity, Entity):
+                raise ValidationError(f"entities must be Entity values, got {entity!r}")
             if entity.id in by_id:
                 raise ValidationError(f"duplicate entity id {entity.id!r}")
             by_id[entity.id] = entity
@@ -94,6 +86,8 @@ class OwnershipGraph(_Value):
         holds: dict[str, list[Holding]] = {}
         seen_edges: set[tuple[str, str]] = set()
         for holding in holdings:
+            if not isinstance(holding, Holding):
+                raise ValidationError(f"holdings must be Holding values, got {holding!r}")
             for endpoint in (holding.holder, holding.corporation):
                 if endpoint not in by_id:
                     raise ValidationError(f"holding references unknown entity {endpoint!r}")
@@ -224,10 +218,6 @@ class Imputation(_Value):
     holder: str
     voted_by: str
 
-    def __init__(self, holder: str, voted_by: str) -> None:
-        _assign(self, "holder", holder)
-        _assign(self, "voted_by", voted_by)
-
 
 class TierVerdict(_Value):
     """Outcome of one corporation's stockholder meeting within the chain."""
@@ -239,17 +229,6 @@ class TierVerdict(_Value):
     controller_kind: ControllerKind | None
     joint_controllers: tuple[str, ...]
     imputations: tuple[Imputation, ...]
-
-    def __init__(self, corporation: str, game: VotingGame, report: PowerReport,
-                 controller: str | None, controller_kind: ControllerKind | None,
-                 joint_controllers: tuple[str, ...], imputations: tuple[Imputation, ...]) -> None:
-        _assign(self, "corporation", corporation)
-        _assign(self, "game", game)
-        _assign(self, "report", report)
-        _assign(self, "controller", controller)
-        _assign(self, "controller_kind", controller_kind)
-        _assign(self, "joint_controllers", joint_controllers)
-        _assign(self, "imputations", imputations)
 
 
 def _tier_game(
@@ -372,14 +351,6 @@ class MethodComparison(_Value):
     tier: TierVerdict
     diverges: bool
 
-    def __init__(self, target: str, grandfather_game: VotingGame,
-                 grandfather_report: PowerReport, tier: TierVerdict, diverges: bool) -> None:
-        _assign(self, "target", target)
-        _assign(self, "grandfather_game", grandfather_game)
-        _assign(self, "grandfather_report", grandfather_report)
-        _assign(self, "tier", tier)
-        _assign(self, "diverges", diverges)
-
 
 def compare_methods(graph: OwnershipGraph, target: str, *, backend: str = "enum") -> MethodComparison:
     """Put the two chain-unraveling methods side by side for one target.
@@ -423,17 +394,6 @@ class NationalityVerdict(_Value):
     grandfather: ControlTestVerdict
     foreign_power: tuple[tuple[str, ControlClassification], ...]
     tier: TierVerdict
-
-    def __init__(self, target: str, control_test: ControlTestVerdict,
-                 grandfather_domestic_share: Fraction, grandfather: ControlTestVerdict,
-                 foreign_power: tuple[tuple[str, ControlClassification], ...],
-                 tier: TierVerdict) -> None:
-        _assign(self, "target", target)
-        _assign(self, "control_test", control_test)
-        _assign(self, "grandfather_domestic_share", grandfather_domestic_share)
-        _assign(self, "grandfather", grandfather)
-        _assign(self, "foreign_power", foreign_power)
-        _assign(self, "tier", tier)
 
 
 def direct_game(graph: OwnershipGraph, corporation: str) -> VotingGame:

@@ -55,12 +55,6 @@ class AnalysisResult(_Value):
     interpretation: str
     payload: dict
 
-    def __init__(self, index: int, spec: dict, interpretation: str, payload: dict) -> None:
-        _assign(self, "index", index)
-        _assign(self, "spec", spec)
-        _assign(self, "interpretation", interpretation)
-        _assign(self, "payload", payload)
-
 
 def run_analysis(scenario: Scenario, spec: dict, options: RunOptions) -> dict:
     """The machine document of one analysis, without its head."""

@@ -1,5 +1,6 @@
 """Value semantics of the public classes: ``repr``, equality and hashing,
-immutability, pickling and keyword construction.
+immutability, pickling, typed errors for bad arguments, and the one
+constructor that builds every record by position, by name or with defaults.
 
 The ``repr`` strings are frozen from the ``dataclasses``-generated classes
 these replaced, so a script that parsed or logged them reads the same text.
@@ -34,12 +35,18 @@ from votepower import (
     ValidationError,
     VotingGame,
     Weight,
+    allocate_board_seats,
+    board_power,
+    control_test,
     make_game,
+    make_graph,
     power_report,
     swing_estimate_mc,
 )
-from votepower.corpus import CorpusReport
+from votepower.core import _Value
+from votepower.corpus import CheckOutcome, CorpusReport
 from votepower.ownership import ControllerKind, Imputation
+from votepower.report import AnalysisResult
 from votepower.scenario import Scenario
 
 DOM = "Nationality(kind=<NationalityKind.DOMESTIC: 'domestic'>, country='PH')"
@@ -188,8 +195,85 @@ def test_corpus_report_stays_mutable_and_unhashable():
     pytest.param(lambda: swing_estimate_mc(_two_player_game(), 1.5), id="mc-float-samples"),
     pytest.param(lambda: swing_estimate_mc(_two_player_game(), 100, seed=0.5), id="mc-float-seed"),
     pytest.param(lambda: swing_estimate_mc(_two_player_game(), "100"), id="mc-str-samples"),
+    pytest.param(lambda: Weight.from_bp(0.1), id="weight-from-bp-float"),
+    pytest.param(lambda: Weight.from_bp("abc"), id="weight-from-bp-str"),
+    pytest.param(lambda: Weight.from_percent("abc"), id="weight-from-percent-str"),
+    pytest.param(lambda: Quota.percent("abc"), id="quota-percent-str"),
+    pytest.param(lambda: control_test(_two_player_game(), "abc"), id="control-test-str-threshold"),
+    pytest.param(lambda: make_game(0.6, _two_player_game().players), id="make-game-float-quota"),
+    pytest.param(lambda: make_game(Quota.of(2, 3), [("A", 5)]), id="make-game-tuple-player"),
+    pytest.param(lambda: make_graph([("A", "A", Nationality.domestic())], [], {}),
+                 id="make-graph-tuple-entity"),
+    pytest.param(lambda: make_graph([Entity("A", "A", Nationality.domestic()),
+                                     Entity("C", "C", Nationality.domestic())],
+                                    [("A", "C", Weight(5))], {"C": Quota.of(2, 3)}),
+                 id="make-graph-tuple-holding"),
+    pytest.param(lambda: board_power(_two_player_game(), allocate_board_seats(_two_player_game(), 2),
+                                     0.6), id="board-power-float-quota"),
+    pytest.param(lambda: allocate_board_seats(_two_player_game(), 2.5), id="board-float-size"),
+    pytest.param(lambda: SeatAllocation((("A", 1.5),), 1.5), id="seat-allocation-float-seats"),
+    pytest.param(lambda: SeatAllocation((("A", -1), ("B", 3)), 2), id="seat-allocation-negative-seats"),
 ])
 def test_bad_constructor_arguments_raise_validation_errors(build):
     with pytest.raises(ValidationError):
         build()
 
+
+
+RECORDS = sorted((cls for cls in _Value.__subclasses__() if "__init__" not in vars(cls)),
+                 key=lambda cls: cls.__name__)
+
+
+def test_the_records_that_only_store_their_fields_have_no_init_of_their_own():
+    assert set(RECORDS) == {Entity, Holding, Imputation, TierVerdict, MethodComparison,
+                            NationalityVerdict, PlayerPower, PowerReport, AnalysisResult,
+                            CheckOutcome}
+
+
+def _field_values(cls) -> dict:
+    return {name: f"{name}-value" for name in cls._fields}
+
+
+def _assert_built(value, cls, fields: dict) -> None:
+    # Every field, defaults too, sits in the instance so that pickle and
+    # deepcopy carry it.
+    assert vars(value) == fields
+    assert value == cls(**fields)
+    assert pickle.loads(pickle.dumps(value)) == value and vars(copy.deepcopy(value)) == fields
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_a_record_is_built_by_position_by_name_or_both(cls):
+    fields = _field_values(cls)
+    values = list(fields.values())
+    _assert_built(cls(*values), cls, fields)
+    _assert_built(cls(**dict(reversed(fields.items()))), cls, fields)
+    for split in range(1, len(values)):
+        _assert_built(cls(*values[:split], **dict(list(fields.items())[split:])), cls, fields)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_a_left_out_field_takes_its_default(cls):
+    defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+    fields = _field_values(cls)
+    for name in defaults:
+        given = {k: v for k, v in fields.items() if k != name}
+        _assert_built(cls(**given), cls, {**fields, name: defaults[name]})
+    required = [v for k, v in fields.items() if k not in defaults]
+    _assert_built(cls(*required), cls, {**fields, **defaults})
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_a_bad_record_call_raises_a_type_error_naming_the_field(cls):
+    fields = _field_values(cls)
+    values = list(fields.values())
+    first, last = cls._fields[0], cls._fields[-1]
+    rest = {k: v for k, v in fields.items() if k != first}
+    with pytest.raises(TypeError, match=f"missing field '{first}'"):
+        cls(**rest)
+    with pytest.raises(TypeError, match="no field 'bogus'"):
+        cls(bogus=1, **rest)
+    with pytest.raises(TypeError, match=f"field '{first}' twice"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"{len(values)} fields \\(.*{last}\\), got {len(values) + 1}"):
+        cls(*values, "extra")
