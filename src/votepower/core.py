@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 BP_PER_UNIT = 10_000
 """Basis points in the whole: a weight of 10,000 bp is 100% of the stock."""
-
-DEFAULT_ENUMERATION_LIMIT = 24
-"""Largest player count for which exhaustive coalition enumeration runs."""
 
 
 class VotePowerError(Exception):
@@ -32,7 +29,7 @@ class ValidationError(VotePowerError, ValueError):
 
 
 class UnknownPlayerError(VotePowerError, LookupError):
-    """A player id does not belong to the game."""
+    """An entity id does not belong to the ownership graph."""
 
 
 class BackendLimitError(VotePowerError):
@@ -272,7 +269,6 @@ class VotingGame(_Value):
         _assign(self, "quota", quota)
         _assign(self, "players", players)
         _assign(self, "total_weight", Weight(total))
-        _assign(self, "_positions", {p.id: i for i, p in enumerate(players)})
         # The integer form, set by the engine on first use.
         _assign(self, "_lowered", None)
 
@@ -280,36 +276,15 @@ class VotingGame(_Value):
     def n(self) -> int:
         return len(self.players)
 
-    @property
-    def winning_threshold(self) -> Fraction:
-        """Minimum coalition weight (in bp) that passes a resolution."""
-        return self.quota.threshold * self.total_weight.bp
 
-    def index_of(self, player_id: str) -> int:
-        try:
-            return self._positions[player_id]
-        except KeyError:
-            raise UnknownPlayerError(f"no player with id {player_id!r}") from None
-
-    def player(self, player_id: str) -> Player:
-        return self.players[self.index_of(player_id)]
-
-    def with_quota(self, quota: Quota) -> "VotingGame":
-        return VotingGame(quota, self.players)
-
-
-def make_game(
-    quota: Quota,
-    players: Iterable[Player],
-    *,
-    allow_minority_quota: bool = False,
-) -> VotingGame:
+def make_game(quota: Quota, players: Iterable[Player]) -> VotingGame:
     """Build a validated voting game.
 
     Rejects a quota that is not a :class:`Quota`, a player that is not a
     :class:`Player`, duplicate player ids, a non-positive total weight, and
-    (unless ``allow_minority_quota`` is set) a quota at or below half of the
-    total, under which two disjoint winning coalitions could exist at once.
+    a quota at or below half of the total, under which two disjoint winning
+    coalitions could exist at once. The :class:`VotingGame` constructor
+    checks none of these and accepts such a quota.
     """
     if not isinstance(quota, Quota):
         raise ValidationError(f"quota must be a Quota, got {quota!r}")
@@ -324,94 +299,9 @@ def make_game(
     game = VotingGame(quota, players)
     if game.total_weight.bp <= 0:
         raise ValidationError("total voting weight must be positive")
-    if not allow_minority_quota and quota.threshold <= Fraction(1, 2):
+    if quota.threshold <= Fraction(1, 2):
         raise ValidationError(
             "quota at or below 1/2 of the total admits simultaneous dictators; "
-            "pass allow_minority_quota=True to accept it"
+            "build the VotingGame directly to accept it"
         )
     return game
-
-
-class Coalition(_Value):
-    """A set of players, encoded as a bitmask over the game's player order."""
-
-    mask: int
-
-    def __init__(self, mask: int) -> None:
-        if mask < 0:
-            raise ValidationError("coalition mask must be non-negative")
-        _assign(self, "mask", mask)
-
-    @classmethod
-    def of(cls, game: VotingGame, player_ids: Iterable[str]) -> "Coalition":
-        mask = 0
-        for player_id in player_ids:
-            mask |= 1 << game.index_of(player_id)
-        return cls(mask)
-
-    @classmethod
-    def grand(cls, game: VotingGame) -> "Coalition":
-        return cls((1 << game.n) - 1)
-
-    def _check(self, game: VotingGame) -> None:
-        if self.mask >> game.n:
-            raise UnknownPlayerError("coalition references players outside the game")
-
-    def contains(self, game: VotingGame, player_id: str) -> bool:
-        self._check(game)
-        return bool(self.mask >> game.index_of(player_id) & 1)
-
-    def member_ids(self, game: VotingGame) -> tuple[str, ...]:
-        self._check(game)
-        return tuple(p.id for i, p in enumerate(game.players) if self.mask >> i & 1)
-
-    def weight(self, game: VotingGame) -> Weight:
-        self._check(game)
-        total = Fraction(0)
-        for i, player in enumerate(game.players):
-            if self.mask >> i & 1:
-                total += player.weight.bp
-        return Weight(total)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-
-def is_winning(game: VotingGame, coalition: Coalition) -> bool:
-    """Exact, non-strict test: the coalition weight meets the quota share."""
-    return coalition.weight(game).bp >= game.winning_threshold
-
-
-def _check_enumeration_limit(n: int) -> None:
-    """Refuse to enumerate the coalitions of more than
-    ``DEFAULT_ENUMERATION_LIMIT`` players."""
-    if n > DEFAULT_ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{n} players exceeds the enumeration limit of {DEFAULT_ENUMERATION_LIMIT}; "
-            "use the dp or mc backend instead"
-        )
-
-
-def enumerate_coalitions(game: VotingGame) -> Iterator[tuple[Coalition, bool]]:
-    """Yield every nonempty coalition with its outcome, 2^N - 1 in all.
-
-    Streams in Gray-code order so the running weight changes by one player
-    per step; memory stays constant regardless of N. Raises
-    :class:`EnumerationLimitError` above ``DEFAULT_ENUMERATION_LIMIT`` players.
-    """
-    n = game.n
-    _check_enumeration_limit(n)
-    threshold = game.winning_threshold
-    weights = [p.weight.bp for p in game.players]
-    mask = 0
-    weight = Fraction(0)
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        flipped = 1 << bit
-        mask ^= flipped
-        if mask & flipped:
-            weight += weights[bit]
-        else:
-            weight -= weights[bit]
-        yield Coalition(mask), weight >= threshold

@@ -60,17 +60,18 @@ from typing import TYPE_CHECKING
 
 from .core import (
     BackendLimitError,
-    Coalition,
+    EnumerationLimitError,
     ValidationError,
     VotingGame,
     _assign,
-    _check_enumeration_limit,
     _Value,
-    is_winning,
 )
 
 if TYPE_CHECKING:
     import numpy as np
+
+DEFAULT_ENUMERATION_LIMIT = 24
+"""Largest count of positive-weight players for which enumeration runs."""
 
 DEFAULT_DP_TABLE_BOUND = 5_000_000
 """Largest integer total weight W, after dividing the weights by their gcd,
@@ -183,36 +184,6 @@ class PowerReport(_Value):
         return tuple(e.absolute for e in self.entries)
 
 
-def is_dictator(game: VotingGame, player_id: str) -> bool:
-    """A dictator's weight alone meets the quota (w_i >= T, exact)."""
-    weights, threshold, total = _integer_form(game)
-    return Status.DICTATOR in _weight_statuses(weights[game.index_of(player_id)], threshold, total)
-
-
-def has_veto(game: VotingGame, player_id: str) -> bool:
-    """Veto power: cannot pass a motion alone, yet no coalition passes one
-    without them (w_i < T and W - w_i < T, both exact)."""
-    weights, threshold, total = _integer_form(game)
-    return Status.VETO in _weight_statuses(weights[game.index_of(player_id)], threshold, total)
-
-
-def is_critical(game: VotingGame, coalition: Coalition, player_id: str) -> bool:
-    """True when the coalition wins but loses once the player drops out."""
-    if not coalition.contains(game, player_id):
-        raise ValidationError(f"player {player_id!r} is not a member of the coalition")
-    if not is_winning(game, coalition):
-        return False
-    remainder = coalition.weight(game).bp - game.player(player_id).weight.bp
-    return remainder < game.winning_threshold
-
-
-def one_person_one_vote_power(n: int) -> Fraction:
-    """Equal power 1/N, the degenerate case every unanimity game reduces to."""
-    if n < 1:
-        raise ValidationError("player count must be at least 1")
-    return Fraction(1, n)
-
-
 def _integer_form(game: VotingGame) -> tuple[tuple[int, ...], int, int]:
     """Lower the game to integers: weights, least winning total T, total W.
 
@@ -238,7 +209,8 @@ def _integer_form(game: VotingGame) -> tuple[tuple[int, ...], int, int]:
 
 def swing_counts_enum(game: VotingGame) -> tuple[int, ...]:
     """Each player's swing count beta, in player order, counted over every
-    coalition: the reference backend.
+    coalition: the package's reference backend, which the test suite checks
+    against a brute force over every coalition in ``Fraction`` arithmetic.
 
     It splits the positive-weight players into two halves and counts each
     player's swings from the two halves' subset sums by meet-in-the-middle,
@@ -250,7 +222,12 @@ def swing_counts_enum(game: VotingGame) -> tuple[int, ...]:
     :class:`EnumerationLimitError`.
     """
     weights, threshold, _ = _integer_form(game)
-    _check_enumeration_limit(len(weights) - weights.count(0))
+    n = len(weights) - weights.count(0)
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"{n} players exceeds the enumeration limit of {DEFAULT_ENUMERATION_LIMIT}; "
+            "use the dp or mc backend instead"
+        )
     return _without_zero_weights(_enum_betas, weights, threshold)
 
 

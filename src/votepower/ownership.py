@@ -66,7 +66,8 @@ class OwnershipGraph(_Value):
 
     Use :func:`make_graph`. Holdings are expressed in basis points of the
     held corporation's stock; per corporation they may sum to less than
-    100% (the remainder is untracked minority residue) but never more.
+    100% (the remainder is untracked minority residue) but never more, and
+    never to 0. Each quota must be a :class:`Quota`.
     """
 
     entities: tuple[Entity, ...]
@@ -99,6 +100,9 @@ class OwnershipGraph(_Value):
             holds.setdefault(holding.holder, []).append(holding)
         for corp, incoming in held.items():
             total = sum((h.weight.bp for h in incoming), Fraction(0))
+            # A corporation whose stock carries no votes has no game to play.
+            if not total:
+                raise ValidationError(f"holdings in {corp!r} sum to 0 bp")
             if total > BP_PER_UNIT:
                 raise ValidationError(
                     f"holdings in {corp!r} sum to {total} bp, above the full stock"
@@ -107,9 +111,11 @@ class OwnershipGraph(_Value):
         for corp in held:
             if corp not in quota_map:
                 raise ValidationError(f"no quota recorded for corporation {corp!r}")
-        for corp in quota_map:
+        for corp, quota in quota_map.items():
             if corp not in held:
                 raise ValidationError(f"quota given for {corp!r}, which has no stockholders")
+            if not isinstance(quota, Quota):
+                raise ValidationError(f"quota for {corp!r} must be a Quota, got {quota!r}")
         _assign(self, "entities", entities)
         _assign(self, "holdings", holdings)
         _assign(self, "quotas", quotas)

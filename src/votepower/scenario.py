@@ -288,13 +288,6 @@ def _parse_game(raw: Any, fields: dict[str, _Reader]) -> dict:
 
 def _parse_graph(raw: Any, fields: dict[str, _Reader]) -> dict:
     graph = _record(raw, fields)
-    # A corporation whose stock carries no votes has no game to play.
-    totals: dict[str, int] = {}
-    for h in graph["holdings"]:
-        totals[h["corporation"]] = totals.get(h["corporation"], 0) + h["weight_bp"]
-    for corporation, total in totals.items():
-        if not total:
-            raise _Fault(f"holdings in {corporation!r} sum to 0 bp")
     _unique(graph["quotas"], "corporation", "quota for", ".quotas")
     return graph
 
@@ -364,8 +357,8 @@ def parse(document: Any) -> Scenario:
         raise ScenarioValidationError(f"${fault.where}: {fault}") from None
     scenario = Scenario({"schema_version": read["schema_version"],
                          **{key: read.get(key, []) for key in arrays}}, index)
-    # Building each graph runs make_graph's checks (cycles, duplicate or
-    # oversized holdings, quotas) and fills the cache the default
+    # Building each graph runs make_graph's checks (cycles, duplicate,
+    # zero-sum or oversized holdings, quotas) and fills the cache the default
     # interpretation reads; only supermajority quotas differ by interpretation.
     for i, graph_id in enumerate(index["graph"]):
         try:

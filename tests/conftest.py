@@ -1,16 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from votepower import (
-    Nationality,
-    Player,
-    Quota,
-    Weight,
-    enumerate_coalitions,
-    is_critical,
-    make_game,
-)
+from votepower import Nationality, Player, Quota, Weight, make_game
 
 QUOTA_CHOICES = (
     Quota.of(51, 100),
@@ -47,12 +40,17 @@ def random_game(rng: random.Random, max_players: int = 16, max_weight: int = 60)
 
 
 def fraction_betas(g) -> list[int]:
-    """Swing counts from the coalition stream and ``is_critical``, in Fraction arithmetic."""
-    betas = [0] * g.n
-    for coalition, wins in enumerate_coalitions(g):
-        if wins:
-            for player_id in coalition.member_ids(g):
-                betas[g.index_of(player_id)] += is_critical(g, coalition, player_id)
+    """Swing counts by brute force, in Fraction arithmetic over the bp
+    weights: for every coalition m, each member i whose weight takes m from
+    at least q * W to below it counts once."""
+    bps = [p.weight.bp for p in g.players]
+    need = g.quota.threshold * sum(bps, Fraction(0))
+    betas = [0] * len(bps)
+    for mask in range(1 << len(bps)):
+        members = [i for i in range(len(bps)) if mask >> i & 1]
+        total = sum((bps[i] for i in members), Fraction(0))
+        for i in members:
+            betas[i] += total >= need > total - bps[i]
     return betas
 
 

@@ -1,23 +1,26 @@
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import votepower
 from votepower import (
-    Coalition,
     EnumerationLimitError,
     Nationality,
     Player,
     Quota,
-    UnknownPlayerError,
+    Status,
     ValidationError,
+    VotingGame,
     Weight,
-    enumerate_coalitions,
-    is_winning,
     make_game,
+    power_report,
+    swing_counts_dp,
+    swing_counts_enum,
 )
-from conftest import game
+from conftest import fraction_betas, game
 
 
 def test_weight_percent_round_trip_is_exact():
@@ -56,13 +59,14 @@ def test_make_game_paper_notation():
     g = game(51, [50, 49, 1])
     assert g.n == 3
     assert g.total_weight.bp == 10_000
-    assert g.winning_threshold == Fraction(51, 100) * 10_000
+    assert g.quota.threshold * g.total_weight.bp == 5_100
 
 
 def test_make_game_single_player_unanimous():
     g = game(Quota.unanimous(), [100])
     assert g.n == 1
-    assert is_winning(g, Coalition.grand(g))
+    assert swing_counts_enum(g) == (1,)
+    assert power_report(g).statuses("P1") == {Status.DICTATOR}
 
 
 def test_make_game_rejects_duplicate_ids():
@@ -82,78 +86,55 @@ def test_make_game_rejects_empty_and_zero_total():
 
 
 def test_make_game_minority_quota_needs_override():
+    # make_game refuses a quota at or below 1/2; the VotingGame constructor
+    # takes it, and the engine counts such a game.
     with pytest.raises(ValidationError, match="dictator"):
         game(Quota.of(1, 2), [60, 40])
     players = [
         Player("P1", "P1", Nationality.domestic(), Weight.from_bp(60)),
         Player("P2", "P2", Nationality.domestic(), Weight.from_bp(40)),
     ]
-    g = make_game(Quota.of(1, 2), players, allow_minority_quota=True)
+    g = VotingGame(Quota.of(1, 2), players)
     assert g.quota.threshold == Fraction(1, 2)
+    assert swing_counts_enum(g) == (2, 0)
 
 
 def test_is_winning_matches_published_coalition_table():
+    # The paper's example {51: 50, 49, 1}: {P1, P2}, {P1, P3} and
+    # {P1, P2, P3} win, P1 swings in all three and P2 and P3 in one each.
     g = game(51, [50, 49, 1])
-    assert is_winning(g, Coalition.of(g, ["P1", "P3"]))          # weight 51
-    assert not is_winning(g, Coalition.of(g, ["P2", "P3"]))      # weight 50
-    assert not is_winning(g, Coalition.of(g, []))
+    assert fraction_betas(g) == [3, 1, 1]
+    assert swing_counts_enum(g) == swing_counts_dp(g) == (3, 1, 1)
 
 
 def test_winning_is_non_strict_at_the_quota():
+    # 51% alone meets a 51% quota, so P1 dictates.
     g = game(51, [51, 49])
-    assert is_winning(g, Coalition.of(g, ["P1"]))
-
-
-def test_coalition_unknown_member():
-    g = game(51, [50, 49, 1])
-    with pytest.raises(UnknownPlayerError):
-        Coalition.of(g, ["P9"])
-    with pytest.raises(UnknownPlayerError):
-        Coalition(1 << 5).weight(g)
-
-
-def test_coalition_weight_and_members():
-    g = game(51, [50, 49, 1])
-    c = Coalition.of(g, ["P2", "P3"])
-    assert c.weight(g).bp == 5000
-    assert c.member_ids(g) == ("P2", "P3")
-    assert c.size == 2
-
-
-@pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 7)])
-def test_enumerate_counts(n, expected):
-    g = game(51, [100 // n] * n)
-    coalitions = list(enumerate_coalitions(g))
-    assert len(coalitions) == expected
-    assert len({c.mask for c, _ in coalitions}) == expected
-    assert all(c.mask for c, _ in coalitions)
-
-
-def test_enumerate_flags_match_is_winning():
-    g = game(67, [40, 30, 30])
-    for coalition, winning in enumerate_coalitions(g):
-        assert winning == is_winning(g, coalition)
+    assert swing_counts_enum(g) == (2, 0)
+    assert power_report(g).statuses("P1") == {Status.DICTATOR}
 
 
 def test_enumerate_limit():
-    # The stream starts at 24 players and refuses 25.
-    assert next(enumerate_coalitions(game(51, [4] * 24)))[0].mask == 1
-    with pytest.raises(EnumerationLimitError, match="enumeration limit of 24"):
-        next(enumerate_coalitions(game(51, [4] * 25)))
-
-
-def test_winning_closed_under_supersets():
-    g = game(67, [40, 30, 20, 10])
-    outcomes = {c.mask: w for c, w in enumerate_coalitions(g)}
-    for mask, winning in outcomes.items():
-        if not winning:
-            continue
-        for bit in range(g.n):
-            assert outcomes.get(mask | (1 << bit), True)
+    # Enumeration counts 24 positive-weight players and refuses 25.
+    assert len(set(swing_counts_enum(game(51, [4] * 24)))) == 1
+    with pytest.raises(EnumerationLimitError, match="25 players exceeds the enumeration limit of 24"):
+        swing_counts_enum(game(51, [4] * 25))
 
 
 def test_exactness_of_two_decimal_weights():
-    # 49.5 + 49.5 + 1.0 must hit the 51% threshold comparisons exactly.
+    # 49.5 + 49.5 + 1.0 must hit the 51% threshold comparisons exactly:
+    # P1 + P3 = 50.5 < 51 loses, P1 + P2 = 99 >= 51 wins, so P3 never swings.
     g = game(51, ["49.5", "49.5", "1.0"])
-    assert not is_winning(g, Coalition.of(g, ["P1", "P3"]))      # 50.5 < 51
-    assert is_winning(g, Coalition.of(g, ["P1", "P2"]))          # 99 >= 51
+    assert fraction_betas(g) == [2, 2, 0]
+    assert swing_counts_enum(g) == swing_counts_dp(g) == (2, 2, 0)
+    assert power_report(g).statuses("P3") == {Status.DUMMY}
+
+
+def test_the_coalition_reference_and_the_test_only_api_are_gone():
+    removed = ("Coalition", "is_winning", "enumerate_coalitions", "is_critical",
+               "is_dictator", "has_veto", "one_person_one_vote_power")
+    assert [name for name in removed if hasattr(votepower, name) or name in votepower.__all__] == []
+    assert [name for name in ("index_of", "player", "winning_threshold", "with_quota")
+            if hasattr(VotingGame, name)] == []
+    parameters = inspect.signature(make_game).parameters.values()
+    assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == []

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from votepower import (
-    Coalition,
     EnumerationLimitError,
     Nationality,
     Player,
@@ -18,18 +17,13 @@ from votepower import (
     Status,
     ValidationError,
     Weight,
-    enumerate_coalitions,
-    has_veto,
-    is_critical,
-    is_dictator,
     make_game,
-    one_person_one_vote_power,
     power_report,
     swing_counts_dp,
     swing_counts_enum,
     swing_estimate_mc,
 )
-from votepower import core, engine
+from votepower import engine
 from votepower.engine import DpTableLimitError, _dp_betas, _integer_form
 from conftest import _oracle_betas, fraction_betas, game
 
@@ -68,25 +62,20 @@ def test_dp_twenty_symmetric_players():
     assert counts[0] == math.comb(19, 10)
 
 
+def _statuses(quota, weights, player_id):
+    return power_report(game(quota, weights)).statuses(player_id)
+
+
 def test_dictator_examples():
-    assert is_dictator(game(51, [51, 49]), "P1")
-    assert not is_dictator(game(67, [51, 49]), "P1")
-    assert not is_dictator(game(100, [99, 1]), "P1")
+    assert Status.DICTATOR in _statuses(51, [51, 49], "P1")
+    assert Status.DICTATOR not in _statuses(67, [51, 49], "P1")
+    assert Status.DICTATOR not in _statuses(100, [99, 1], "P1")
 
 
 def test_veto_examples():
-    assert has_veto(game(51, [50, 25, 25]), "P1")
-    assert has_veto(game(100, [33, 33, 33, 1]), "P4")
-    assert not has_veto(game(51, [51, 49]), "P1")
-
-
-def test_is_critical_examples():
-    g = game(51, [50, 49, 1])
-    assert is_critical(g, Coalition.of(g, ["P1", "P3"]), "P3")
-    assert not is_critical(g, Coalition.grand(g), "P2")
-    assert not is_critical(g, Coalition.of(g, ["P2", "P3"]), "P2")  # losing
-    with pytest.raises(ValidationError):
-        is_critical(g, Coalition.of(g, ["P1", "P3"]), "P2")
+    assert Status.VETO in _statuses(51, [50, 25, 25], "P1")
+    assert Status.VETO in _statuses(100, [33, 33, 33, 1], "P4")
+    assert Status.VETO not in _statuses(51, [51, 49], "P1")
 
 
 def test_power_report_normalized_and_absolute():
@@ -135,27 +124,25 @@ def test_power_report_unanimity_quarters():
 
 
 def test_one_person_one_vote():
-    assert one_person_one_vote_power(10) == Fraction(1, 10)
-    assert one_person_one_vote_power(1) == 1
+    # N equal holders share the power equally, 1/N each.
+    assert power_report(game(51, [10] * 10)).normalized_vector() == (Fraction(1, 10),) * 10
+    assert power_report(game(51, [100])).normalized_vector() == (1,)
     with pytest.raises(ValidationError):
-        one_person_one_vote_power(0)
+        game(51, [])
 
 
 def test_de_facto_unanimity_reduces_to_equal_shares():
     # {81: 60, 20, 20}: only the grand coalition wins, so power is 1/N.
     report = power_report(game(81, [60, 20, 20]))
-    assert report.normalized_vector() == (one_person_one_vote_power(3),) * 3
+    assert report.normalized_vector() == (Fraction(1, 3),) * 3
 
 
 def test_backend_limits():
-    # Enumeration refuses 25 players, with one message for the swing counts
-    # and the coalition stream.
+    # Enumeration refuses 25 players.
     g = game(51, [4] * 25)
     with pytest.raises(EnumerationLimitError) as counted:
         swing_counts_enum(g)
-    with pytest.raises(EnumerationLimitError) as streamed:
-        next(enumerate_coalitions(g))
-    assert str(counted.value) == str(streamed.value) == (
+    assert str(counted.value) == (
         "25 players exceeds the enumeration limit of 24; use the dp or mc backend instead")
     # The table runs up to a reduced total weight of 5,000,000 and no further.
     at_bound = game(51, ["25000.01", "24999.99"])
@@ -179,11 +166,7 @@ def test_enum_beyond_int64_matches_brute_force():
     ]
     g = make_game(Quota.of(51, 100), players)
     assert _integer_form(g)[2] >= 2**62
-    brute = [0] * g.n
-    for coalition, _ in enumerate_coalitions(g):
-        for i, player in enumerate(g.players):
-            if coalition.contains(g, player.id) and is_critical(g, coalition, player.id):
-                brute[i] += 1
+    brute = fraction_betas(g)
     assert list(swing_counts_enum(g)) == brute
     assert len(set(brute)) > 1
 
@@ -514,7 +497,7 @@ def test_limit_errors_repeat_after_a_cached_count(monkeypatch):
     g = game(51, [11, 9] + [10] * 8)
     swing_counts_enum(g)
     swing_counts_dp(g)
-    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_LIMIT", 9)
+    monkeypatch.setattr(engine, "DEFAULT_ENUMERATION_LIMIT", 9)
     monkeypatch.setattr(engine, "DEFAULT_DP_TABLE_BOUND", 10)
     for _ in range(2):
         with pytest.raises(EnumerationLimitError):

@@ -78,7 +78,7 @@ def test_classify_matrix_examples():
 def test_classify_accepts_quota_override():
     g = tagged_game(51, [40, 30, 30], [F, D, D])
     assert classify_foreign_control(g) == {"P1": ControlClassification.JOINT_CONTROL}
-    assert classify_foreign_control(g.with_quota(Quota.percent(67))) == {
+    assert classify_foreign_control(make_game(Quota.percent(67), g.players)) == {
         "P1": ControlClassification.EFFECTIVE_CONTROL
     }
 
@@ -172,7 +172,7 @@ def test_board_power_mirrors_stockholder_power_when_divisible():
     for weights in ([40, 60], [40, 30, 30], [40, 20, 20, 20]):
         g = game(51, weights)
         for quota in (Quota.percent(51), Quota.percent(67)):
-            stockholder = power_report(g.with_quota(quota)).normalized_vector()
+            stockholder = power_report(make_game(quota, g.players)).normalized_vector()
             assert board_vector(g, quota) == stockholder
 
 

@@ -252,8 +252,7 @@ def test_controller_merges_direct_and_controlled_blocks():
     ]
     graph = make_graph(entities, holdings, {"B": Quota.percent(51), "C": Quota.percent(51)})
     verdict = tier_verdict(graph, "C")
-    assert {p.id for p in verdict.game.players} == {"A", "M"}
-    assert verdict.game.player("A").weight.bp == 6000
+    assert {p.id: p.weight.bp for p in verdict.game.players} == {"A": 6000, "M": 4000}
     assert verdict.controller == "A"
     assert Imputation("B", "A") in verdict.imputations
 
@@ -543,10 +542,12 @@ def test_grandfather_equity_matches_path_enumeration():
         edges = []
         for j, corp in enumerate(ids[1:], start=1):
             holders = [h for h in ids[:j] if rng.random() < 0.5]
-            for holder in holders:
-                weight = 0 if rng.random() < 0.15 else rng.randint(1, 10_000 // len(holders))
-                edges.append((holder, corp, weight))
-                zero_weights += weight == 0
+            weights = [0 if rng.random() < 0.15 else rng.randint(1, 10_000 // len(holders))
+                       for _ in holders]
+            if holders and not any(weights):
+                weights[-1] = 1  # a corporation's holdings may not sum to 0 bp
+            edges += zip(holders, [corp] * len(holders), weights)
+            zero_weights += weights.count(0)
         held = {corp for _, corp, _ in edges}
         rng.shuffle(edges)
         graph = make_graph([Entity(x, x, D) for x in ids],

@@ -16,12 +16,9 @@ from votepower import (
     Player,
     Quota,
     Status,
+    VotingGame,
     Weight,
-    enumerate_coalitions,
     grandfather_equity,
-    has_veto,
-    is_critical,
-    is_dictator,
     make_game,
     make_graph,
     power_report,
@@ -54,8 +51,9 @@ def test_dictator_takes_all():
     for _ in range(60):
         g = random_game(rng, max_players=8, max_weight=30)
         report = power_report(g)
+        threshold = g.quota.threshold * g.total_weight.bp
         for player in g.players:
-            if not is_dictator(g, player.id):
+            if player.weight.bp < threshold:
                 continue
             assert report.normalized(player.id) == 1
             for other in g.players:
@@ -104,6 +102,12 @@ def test_zero_weight_players_are_dummies():
                 assert Status.DUMMY in report.statuses(player.id)
 
 
+def _has_veto(g, player) -> bool:
+    """Cannot pass a motion alone, yet no coalition passes one without them."""
+    threshold = g.quota.threshold * g.total_weight.bp
+    return player.weight.bp < threshold and g.total_weight.bp - player.weight.bp < threshold
+
+
 def test_two_player_veto_floor():
     rng = random.Random(31)
     found = 0
@@ -113,7 +117,7 @@ def test_two_player_veto_floor():
             continue
         report = power_report(g)
         for player in g.players:
-            if has_veto(g, player.id):
+            if _has_veto(g, player):
                 found += 1
                 assert report.normalized(player.id) == Fraction(1, 2)
     assert found > 10
@@ -125,7 +129,7 @@ def test_veto_implies_not_dummy():
         g = random_game(rng, max_players=8)
         report = power_report(g)
         for player in g.players:
-            if has_veto(g, player.id):
+            if _has_veto(g, player):
                 assert Status.DUMMY not in report.statuses(player.id)
                 assert report.normalized(player.id) > 0
 
@@ -171,17 +175,13 @@ def test_integer_lowering_matches_fraction_definitions():
         players = [
             Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(b)) for i, b in enumerate(bps)
         ]
-        g = make_game(quota, players, allow_minority_quota=True)
+        g = VotingGame(quota, players)
 
-        brute = [0] * n
-        for coalition, _ in enumerate_coalitions(g):
-            for i, player in enumerate(g.players):
-                if coalition.contains(g, player.id) and is_critical(g, coalition, player.id):
-                    brute[i] += 1
+        brute = fraction_betas(g)
         assert list(swing_counts_enum(g)) == brute, f"enum mismatch on {g}"
         assert list(swing_counts_dp(g)) == brute, f"dp mismatch on {g}"
 
-        threshold = g.winning_threshold
+        threshold = quota.threshold * g.total_weight.bp
         total = g.total_weight.bp
         dictators = [b >= threshold for b in bps]
         reports = [power_report(g, "enum"), power_report(g, "dp")]
@@ -189,8 +189,6 @@ def test_integer_lowering_matches_fraction_definitions():
         for i, player in enumerate(g.players):
             w = bps[i]
             veto = w < threshold and total - w < threshold
-            assert is_dictator(g, player.id) == dictators[i]
-            assert has_veto(g, player.id) == veto
             weight_flags = {Status.DICTATOR} if dictators[i] else {Status.VETO} if veto else set()
             exact = weight_flags | ({Status.DUMMY} if brute[i] == 0 else set())
             assert all(report.statuses(player.id) == exact for report in reports)
@@ -215,7 +213,7 @@ def _exact_games(draw):
     met = sum(compress(bps, draw(st.lists(st.booleans(), min_size=len(bps), max_size=len(bps)))))
     quota = Quota(met / sum(bps)) if met and draw(st.booleans()) else Quota.unanimous()
     players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(b)) for i, b in enumerate(bps)]
-    return make_game(quota, players, allow_minority_quota=True)
+    return VotingGame(quota, players)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -244,7 +242,7 @@ def _bp_games(draw, players: tuple[int, int], max_weight: int):
 def _bp_game(bps, quota):
     players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight.from_bp(w))
                for i, w in enumerate(bps)]
-    return make_game(quota, players, allow_minority_quota=True)
+    return VotingGame(quota, players)
 
 
 # Above _SPLIT_PLAYERS (10) positive weights, enum splits in numpy int64
@@ -267,8 +265,8 @@ def test_object_dp_equals_the_subset_sum_oracle(case):
 def _acyclic_stakes(draw):
     """2-7 entity ids and the holdings (holder, corporation, bp) among them:
     an id holds stakes only in ids after it in a drawn order, so no cycle
-    forms, and each corporation's holdings sum to at most 10,000 bp, to
-    exactly 10,000 in every corporation when ``full``. Returns the ids,
+    forms, and each corporation's holdings sum to 1-10,000 bp, to exactly
+    10,000 in every corporation when ``full``. Returns the ids,
     the holdings in a drawn order, and ``full``."""
     n = draw(st.integers(2, 7))
     ids = draw(st.permutations([f"e{i}" for i in range(n)]))
@@ -279,8 +277,8 @@ def _acyclic_stakes(draw):
         if holders:
             cuts = sorted(draw(st.lists(st.integers(0, 10_000), min_size=len(holders),
                                         max_size=len(holders))))
-            if full:
-                cuts[-1] = 10_000
+            # The holdings in a corporation sum to cuts[-1] bp, which may not be 0.
+            cuts[-1] = 10_000 if full else max(cuts[-1], 1)
             edges += [(h, ids[j], b - a) for h, a, b in zip(holders, [0] + cuts, cuts)]
     return ids, draw(st.permutations(edges)), full
 

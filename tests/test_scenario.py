@@ -60,10 +60,10 @@ def test_corpus_files_round_trip():
 
 def test_weights_round_trip_bit_exactly():
     scenario = parse(MINIMAL)
-    game = scenario.build_game("g")
-    assert game.player("P1").weight.bp == Fraction(6663)
+    weights = {p.id: p.weight.bp for p in scenario.build_game("g").players}
+    assert weights["P1"] == Fraction(6663)
     reparsed = loads(dumps(scenario))
-    assert reparsed.build_game("g").player("P1").weight.bp == Fraction(6663)
+    assert {p.id: p.weight.bp for p in reparsed.build_game("g").players} == weights
 
 
 def test_parse_error_carries_position():

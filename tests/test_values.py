@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from votepower import (
-    Coalition,
     ControlClassification,
     ControlTestVerdict,
     Entity,
@@ -104,7 +103,6 @@ def _samples():
          dict(id="A", name="Alpha", nationality=fgn, weight=Weight(bp=Fraction(6000))), ALPHA),
         (VotingGame, dict(quota=quota, players=(alpha, beta)),
          dict(quota=quota, players=(beta, alpha)), GAME),
-        (Coalition, dict(mask=3), dict(mask=1), "Coalition(mask=3)"),
         (Entity, entity, {**entity, "name": "Other"}, f"Entity(id='C', name='Corp', nationality={DOM})"),
         (Holding, holding, {**holding, "holder": "B"}, HOLDING),
         (OwnershipGraph, graph, {**graph, "quotas": (("C", Quota(threshold=Fraction(3, 4))),)},
@@ -208,6 +206,14 @@ def test_corpus_report_stays_mutable_and_unhashable():
                                      Entity("C", "C", Nationality.domestic())],
                                     [("A", "C", Weight(5))], {"C": Quota.of(2, 3)}),
                  id="make-graph-tuple-holding"),
+    pytest.param(lambda: make_graph([Entity("A", "A", Nationality.domestic()),
+                                     Entity("C", "C", Nationality.domestic())],
+                                    [Holding("A", "C", Weight(0))], {"C": Quota.of(2, 3)}),
+                 id="make-graph-zero-holdings"),
+    pytest.param(lambda: make_graph([Entity("A", "A", Nationality.domestic()),
+                                     Entity("C", "C", Nationality.domestic())],
+                                    [Holding("A", "C", Weight(5))], {"C": 0.6}),
+                 id="make-graph-float-quota"),
     pytest.param(lambda: board_power(_two_player_game(), allocate_board_seats(_two_player_game(), 2),
                                      0.6), id="board-power-float-quota"),
     pytest.param(lambda: allocate_board_seats(_two_player_game(), 2.5), id="board-float-size"),
