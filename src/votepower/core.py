@@ -179,10 +179,6 @@ class Weight(_Value):
         _assign(self, "bp", bp)
 
     @classmethod
-    def from_bp(cls, bp: int | Fraction) -> "Weight":
-        return cls(bp)
-
-    @classmethod
     def from_percent(cls, percent: int | str | Fraction) -> "Weight":
         """Build a weight from a percentage such as ``"66.63"`` (exact)."""
         return cls(_rational(percent, "percentage", _FLOAT_PERCENT) * 100)
@@ -190,11 +186,6 @@ class Weight(_Value):
     @property
     def percent(self) -> Fraction:
         return self.bp / 100
-
-    def fraction_of(self, total: "Weight") -> Fraction:
-        if total.bp == 0:
-            raise ValidationError("cannot take a share of a zero total weight")
-        return self.bp / total.bp
 
 
 class Quota(_Value):
@@ -223,10 +214,6 @@ class Quota(_Value):
     def percent(cls, percent: int | str | Fraction) -> "Quota":
         return cls(_rational(percent, "quota percentage", _FLOAT_PERCENT) / 100)
 
-    @classmethod
-    def unanimous(cls) -> "Quota":
-        return cls(Fraction(1))
-
 
 class Player(_Value):
     """A stockholder entitled to vote."""
@@ -250,8 +237,10 @@ class VotingGame(_Value):
 
     The conventional notation is ``{q: w_1, w_2, ...}``; for example
     ``{51: 50, 49, 1}`` is a simple-majority meeting of three stockholders.
-    Use :func:`make_game` rather than the constructor so that id uniqueness
-    and the quota bounds are checked.
+    The constructor rejects a quota that is not a :class:`Quota`, a player
+    that is not a :class:`Player`, a repeated player id, an empty player
+    list and a total weight of zero, and accepts any quota in (0, 1]; use
+    :func:`make_game` to also require a quota above one half.
     """
 
     quota: Quota
@@ -259,13 +248,23 @@ class VotingGame(_Value):
     total_weight: Weight
     _uncompared = ("total_weight",)
 
-    def __init__(self, quota: Quota, players: tuple[Player, ...]) -> None:
+    def __init__(self, quota: Quota, players: Iterable[Player]) -> None:
+        if not isinstance(quota, Quota):
+            raise ValidationError(f"quota must be a Quota, got {quota!r}")
         players = tuple(players)
         if not players:
             raise ValidationError("a voting game needs at least one player")
+        seen: set[str] = set()
         total = Fraction(0)
         for player in players:
+            if not isinstance(player, Player):
+                raise ValidationError(f"a game's players must be Players, got {player!r}")
+            if player.id in seen:
+                raise ValidationError(f"duplicate player id {player.id!r}")
+            seen.add(player.id)
             total += player.weight.bp
+        if not total:
+            raise ValidationError("total voting weight must be positive")
         _assign(self, "quota", quota)
         _assign(self, "players", players)
         _assign(self, "total_weight", Weight(total))
@@ -278,27 +277,12 @@ class VotingGame(_Value):
 
 
 def make_game(quota: Quota, players: Iterable[Player]) -> VotingGame:
-    """Build a validated voting game.
+    """A :class:`VotingGame` whose quota exceeds half of the total weight.
 
-    Rejects a quota that is not a :class:`Quota`, a player that is not a
-    :class:`Player`, duplicate player ids, a non-positive total weight, and
-    a quota at or below half of the total, under which two disjoint winning
-    coalitions could exist at once. The :class:`VotingGame` constructor
-    checks none of these and accepts such a quota.
+    A quota at or below 1/2 admits two disjoint winning coalitions at once;
+    build the ``VotingGame`` directly to accept it.
     """
-    if not isinstance(quota, Quota):
-        raise ValidationError(f"quota must be a Quota, got {quota!r}")
-    players = tuple(players)
-    seen: set[str] = set()
-    for player in players:
-        if not isinstance(player, Player):
-            raise ValidationError(f"a game's players must be Players, got {player!r}")
-        if player.id in seen:
-            raise ValidationError(f"duplicate player id {player.id!r}")
-        seen.add(player.id)
     game = VotingGame(quota, players)
-    if game.total_weight.bp <= 0:
-        raise ValidationError("total voting weight must be positive")
     if quota.threshold <= Fraction(1, 2):
         raise ValidationError(
             "quota at or below 1/2 of the total admits simultaneous dictators; "

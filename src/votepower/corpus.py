@@ -39,23 +39,13 @@ class CheckOutcome(_Value):
 
 
 class CorpusReport(_Value):
-    """The outcomes of a corpus verification; mutable, and so unhashable."""
+    """The outcomes of a corpus verification, in scenario order."""
 
-    outcomes: list[CheckOutcome]
-    __hash__ = None  # type: ignore[assignment]
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(self, outcomes: list[CheckOutcome] | None = None) -> None:
-        self.outcomes = [] if outcomes is None else outcomes
+    outcomes: tuple[CheckOutcome, ...]
 
     @property
     def passed(self) -> bool:
         return all(o.passed for o in self.outcomes)
-
-    @property
-    def divergences(self) -> list[CheckOutcome]:
-        return [o for o in self.outcomes if o.divergence]
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -160,7 +150,5 @@ def verify_corpus(subset: list[str] | None = None) -> CorpusReport:
         if unknown:
             raise ScenarioValidationError(f"unknown corpus scenario(s): {', '.join(unknown)}")
         names = [n for n in names if n in subset]
-    report = CorpusReport()
-    for name in names:
-        report.outcomes.extend(verify_file(corpus_dir() / f"{name}.json"))
-    return report
+    return CorpusReport(tuple(outcome for name in names
+                              for outcome in verify_file(corpus_dir() / f"{name}.json")))

@@ -198,7 +198,7 @@ def _integer_form(game: VotingGame) -> tuple[tuple[int, ...], int, int]:
         bps = [p.weight.bp for p in game.players]
         scale = math.lcm(*(b.denominator for b in bps))
         weights = [b.numerator * (scale // b.denominator) for b in bps]
-        divisor = math.gcd(*weights) or 1
+        divisor = math.gcd(*weights)
         weights = tuple(w // divisor for w in weights)
         total = sum(weights)
         q = game.quota.threshold

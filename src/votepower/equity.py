@@ -111,18 +111,18 @@ def float_adjust(game: VotingGame) -> VotingGame:
     proportions and the total; the quota fraction is unchanged. A game with
     no float players is returned as is.
     """
-    float_share = Fraction(0)
+    float_bp = Fraction(0)
     retained: list[Player] = []
     for player in game.players:
         if player.nationality.kind is NationalityKind.PUBLIC_FLOAT:
-            float_share += player.weight.fraction_of(game.total_weight)
+            float_bp += player.weight.bp
         else:
             retained.append(player)
-    if float_share == 0:
+    if float_bp == 0:
         return game
-    if float_share == 1:
+    if float_bp == game.total_weight.bp:
         raise ValidationError("the public float holds the entire voting stock")
-    scale = 1 - float_share
+    scale = 1 - float_bp / game.total_weight.bp
     rescaled = [Player(p.id, p.name, p.nationality, Weight(p.weight.bp / scale)) for p in retained]
     return make_game(game.quota, rescaled)
 
@@ -141,9 +141,6 @@ class SeatAllocation(_Value):
             raise ValidationError("seat counts must sum to the board size")
         _assign(self, "seats", seats)
         _assign(self, "board_size", board_size)
-
-    def vector(self) -> tuple[int, ...]:
-        return tuple(count for _, count in self.seats)
 
 
 def _check_board_size(board_size: int) -> None:

@@ -206,11 +206,9 @@ _KINDS = {"entity": "entities", "game": "games", "graph": "graphs"}
 
 class Scenario(_Value):
     """A validated scenario; ``document`` is the canonical form ``dumps`` writes,
-    and ``analyses`` is the tuple of its canonical analysis dicts.
-
-    ``_index`` maps each kind of ``_KINDS`` to its items by id, as ``parse``
-    collected them while checking references; without it they are indexed
-    from ``document``.
+    and ``analyses`` is the tuple of its canonical analysis dicts. The
+    entities, games and graphs of ``document`` are indexed by id here, for
+    the builders to look up.
     """
 
     document: dict
@@ -218,13 +216,11 @@ class Scenario(_Value):
     _uncompared = ("analyses",)
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, document: dict, _index: dict[str, dict[str, dict]] | None = None) -> None:
-        if _index is None:
-            _index = {kind: {item["id"]: item for item in document[key]}
-                      for kind, key in _KINDS.items()}
+    def __init__(self, document: dict) -> None:
         _assign(self, "document", document)
         _assign(self, "analyses", tuple(document["analyses"]))
-        _assign(self, "_index", _index)
+        _assign(self, "_index", {kind: {item["id"]: item for item in document[key]}
+                                 for kind, key in _KINDS.items()})
         _assign(self, "_graphs", {})
 
     def _lookup(self, kind: str, item_id: str) -> dict:
@@ -348,19 +344,20 @@ def _arrays(entities: dict, games: dict, graphs: dict) -> dict[str, _Reader]:
 
 def parse(document: Any) -> Scenario:
     """Validate an already-decoded JSON document into a scenario."""
-    # The items of each kind by id, filled as they are read.
-    index: dict[str, dict[str, dict]] = {kind: {} for kind in _KINDS}
-    arrays = _arrays(index["entity"], index["game"], index["graph"])
+    # The entities, games and graphs by id, filled as they are read for the
+    # reference checks; of these, parse itself reads back only the graphs.
+    graphs: dict[str, dict] = {}
+    arrays = _arrays({}, {}, graphs)
     try:
         read = _record(document, {"schema_version": _version}, arrays)
     except _Fault as fault:
         raise ScenarioValidationError(f"${fault.where}: {fault}") from None
     scenario = Scenario({"schema_version": read["schema_version"],
-                         **{key: read.get(key, []) for key in arrays}}, index)
+                         **{key: read.get(key, []) for key in arrays}})
     # Building each graph runs make_graph's checks (cycles, duplicate,
     # zero-sum or oversized holdings, quotas) and fills the cache the default
     # interpretation reads; only supermajority quotas differ by interpretation.
-    for i, graph_id in enumerate(index["graph"]):
+    for i, graph_id in enumerate(graphs):
         try:
             scenario.build_graph(graph_id)
         except ValidationError as exc:

@@ -33,7 +33,7 @@ def random_game(rng: random.Random, max_players: int = 16, max_weight: int = 60)
     if not any(weights):
         weights[rng.randrange(n)] = 1
     players = [
-        Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight.from_bp(w))
+        Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(w))
         for i, w in enumerate(weights)
     ]
     return make_game(rng.choice(QUOTA_CHOICES), players)

@@ -11,6 +11,7 @@ from votepower import (
     Nationality,
     Player,
     Quota,
+    SeatAllocation,
     Status,
     ValidationError,
     VotingGame,
@@ -20,6 +21,7 @@ from votepower import (
     swing_counts_dp,
     swing_counts_enum,
 )
+from votepower.corpus import CorpusReport
 from conftest import fraction_betas, game
 
 
@@ -35,13 +37,13 @@ def test_weight_rejects_floats_and_negatives():
     with pytest.raises(ValidationError):
         Weight.from_percent(66.63)
     with pytest.raises(ValidationError):
-        Weight.from_bp(-1)
+        Weight(-1)
 
 
 def test_quota_bounds():
     assert Quota.percent(51).threshold == Fraction(51, 100)
     assert Quota.of(2, 3).threshold == Fraction(2, 3)
-    assert Quota.unanimous().threshold == 1
+    assert Quota(1).threshold == 1
     with pytest.raises(ValidationError):
         Quota(Fraction(0))
     with pytest.raises(ValidationError):
@@ -63,7 +65,7 @@ def test_make_game_paper_notation():
 
 
 def test_make_game_single_player_unanimous():
-    g = game(Quota.unanimous(), [100])
+    g = game(Quota(1), [100])
     assert g.n == 1
     assert swing_counts_enum(g) == (1,)
     assert power_report(g).statuses("P1") == {Status.DICTATOR}
@@ -71,8 +73,8 @@ def test_make_game_single_player_unanimous():
 
 def test_make_game_rejects_duplicate_ids():
     players = [
-        Player("P1", "P1", Nationality.domestic(), Weight.from_bp(100)),
-        Player("P1", "again", Nationality.domestic(), Weight.from_bp(200)),
+        Player("P1", "P1", Nationality.domestic(), Weight(100)),
+        Player("P1", "again", Nationality.domestic(), Weight(200)),
     ]
     with pytest.raises(ValidationError, match="duplicate"):
         make_game(Quota.percent(51), players)
@@ -91,12 +93,16 @@ def test_make_game_minority_quota_needs_override():
     with pytest.raises(ValidationError, match="dictator"):
         game(Quota.of(1, 2), [60, 40])
     players = [
-        Player("P1", "P1", Nationality.domestic(), Weight.from_bp(60)),
-        Player("P2", "P2", Nationality.domestic(), Weight.from_bp(40)),
+        Player("P1", "P1", Nationality.domestic(), Weight(60)),
+        Player("P2", "P2", Nationality.domestic(), Weight(40)),
     ]
     g = VotingGame(Quota.of(1, 2), players)
     assert g.quota.threshold == Fraction(1, 2)
     assert swing_counts_enum(g) == (2, 0)
+    # At 1/3 each holder wins alone: two simultaneous dictators.
+    minority = power_report(VotingGame(Quota.of(1, 3), players))
+    assert minority.beta_vector() == (1, 1)
+    assert minority.statuses("P1") == minority.statuses("P2") == {Status.DICTATOR}
 
 
 def test_is_winning_matches_published_coalition_table():
@@ -136,5 +142,8 @@ def test_the_coalition_reference_and_the_test_only_api_are_gone():
     assert [name for name in removed if hasattr(votepower, name) or name in votepower.__all__] == []
     assert [name for name in ("index_of", "player", "winning_threshold", "with_quota")
             if hasattr(VotingGame, name)] == []
+    aliases = ((Weight, "from_bp"), (Weight, "fraction_of"), (Quota, "unanimous"),
+               (SeatAllocation, "vector"), (CorpusReport, "divergences"))
+    assert [name for cls, name in aliases if hasattr(cls, name)] == []
     parameters = inspect.signature(make_game).parameters.values()
     assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == []

@@ -48,7 +48,7 @@ def test_swing_counts_dp_matches_enum(quota, weights, expected):
 
 
 def test_dp_single_player():
-    g = game(Quota.unanimous(), [100])
+    g = game(Quota(1), [100])
     assert list(swing_counts_dp(g)) == [1]
     assert list(swing_counts_enum(g)) == [1]
 
@@ -191,7 +191,7 @@ def _small_enum_cases():
         # A quota met exactly by some coalition's weight, and unanimity.
         met = next(s for s in itertools.accumulate(sorted(bps, reverse=True)) if 2 * s > total)
         yield _bp_game(bps, Quota.of(met, total))
-        yield _bp_game(bps, Quota.unanimous())
+        yield _bp_game(bps, Quota(1))
     # Games on both sides of the Python split's bound whose reduced total
     # passes 2^62, so numpy's halves hold Python integers.
     primes = [2**13 - 1, 2**17 - 1, 2**19 - 1, 2**31 - 1, 2**61 - 1]
@@ -212,9 +212,9 @@ def _plain_cases():
     for n in range(1, engine._PLAIN_PLAYERS + 3):
         fractional = [Weight(Fraction(rng.randint(1, 60), rng.choice([3, 7, 11])))
                       for _ in range(n)]
-        for weights in ([Weight.from_bp(rng.randint(1, 900)) for _ in range(n)],
-                        [Weight.from_bp(250)] * n,
-                        [Weight.from_bp(0)] + [Weight.from_bp(rng.randint(1, 9))] * n,
+        for weights in ([Weight(rng.randint(1, 900)) for _ in range(n)],
+                        [Weight(250)] * n,
+                        [Weight(0)] + [Weight(rng.randint(1, 9))] * n,
                         fractional):
             players = [Player(f"P{i}", f"P{i}", Nationality.domestic(), w)
                        for i, w in enumerate(weights)]
@@ -222,7 +222,7 @@ def _plain_cases():
             met = next(s for s in itertools.accumulate(sorted((w.bp for w in weights), reverse=True))
                        if 2 * s > total)
             yield make_game(Quota.of(met, total), players)
-            yield make_game(Quota.unanimous(), players)
+            yield make_game(Quota(1), players)
 
 
 def test_enum_matches_fraction_reference_on_small_games():
@@ -274,7 +274,7 @@ def _beyond_int64_games():
         total = sum(bps)
         met = next(s for s in itertools.accumulate(sorted(bps, reverse=True)) if 2 * s > total)
         yield _bp_game(bps, Quota.of(met, total))
-        yield _bp_game(bps, Quota.unanimous())
+        yield _bp_game(bps, Quota(1))
 
 
 def _mask_betas(weights: tuple[int, ...], threshold: int) -> list[int]:
@@ -331,7 +331,7 @@ def _large_enum_cases():
         met = next(s for s in itertools.accumulate(bps) if 2 * s > total)
         yield bps, Quota.of(51, 100)
         yield bps, Quota.of(met, total)
-    yield bps, Quota.unanimous()
+    yield bps, Quota(1)
 
 
 def test_enum_matches_subset_sum_oracle_on_large_games():
@@ -399,7 +399,7 @@ def test_mc_requires_positive_samples():
 
 def _bp_game(bps: list[int], quota: Quota):
     players = [
-        Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight.from_bp(w))
+        Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(w))
         for i, w in enumerate(bps)
     ]
     return make_game(quota, players)
@@ -415,7 +415,7 @@ def _wide_games():
         prefix = next(s for s in itertools.accumulate(bps) if 2 * s > total)
         yield bps, Quota.of(prefix, total)
         yield bps, Quota.of(51, 100)
-        yield bps, Quota.unanimous()
+        yield bps, Quota(1)
     # A dictator whose weight alone meets the quota.
     yield [400] + [rng.randint(0, 6) for _ in range(69)], Quota.of(51, 100)
 
@@ -434,7 +434,7 @@ def test_dp_beyond_int64_cases_cover_the_edges():
     # One case on each side of the int64 / object switch at 62 players.
     assert {len(bps) for bps, _ in cases} >= {62, 63}
     assert all(0 in bps and len(set(bps)) < len(bps) for bps, _ in cases)
-    assert any(quota == Quota.unanimous() for _, quota in cases)
+    assert any(quota == Quota(1) for _, quota in cases)
     dictator, quota = cases[-1]
     assert dictator[0] >= quota.threshold * sum(dictator)
     wide = [_bp_game(bps, quota) for bps, quota in cases if len(bps) >= 63]
@@ -542,7 +542,7 @@ def _small_mc_cases():
     for n in range(1, 17):
         bps = [rng.choice([0, 1, 2, 2, 3, 5, 8]) for _ in range(n)]
         bps[0] = max(bps[0], 1)
-        for quota in (Quota.of(51, 100), Quota.unanimous()):
+        for quota in (Quota.of(51, 100), Quota(1)):
             for samples in (2**n - 1, 2**n, 2**n + 1, 2_000, 50_000):
                 yield _bp_game(bps, quota), samples
     # Reduced weights whose sum wraps int64, through the histogram too.

@@ -134,23 +134,26 @@ def test_float_adjust_rejects_total_float():
 
 
 def test_board_seats_published_rows():
-    assert allocate_board_seats(game(51, [40, 60]), 10).vector() == (4, 6)
-    assert allocate_board_seats(game(51, [40, 30, 30]), 10).vector() == (4, 3, 3)
-    assert allocate_board_seats(game(51, [40, 20, 20, 20]), 10).vector() == (4, 2, 2, 2)
-    assert allocate_board_seats(game(Quota.unanimous(), [100]), 5).vector() == (5,)
+    for quota, weights, size, seats in ((51, [40, 60], 10, (4, 6)),
+                                        (51, [40, 30, 30], 10, (4, 3, 3)),
+                                        (51, [40, 20, 20, 20], 10, (4, 2, 2, 2)),
+                                        (Quota(1), [100], 5, (5,))):
+        allocation = allocate_board_seats(game(quota, weights), size)
+        assert tuple(n for _, n in allocation.seats) == seats
 
 
 def test_board_seats_largest_remainder_tie_breaks():
-    # shares 1.5 / 0.9 / 0.6: the two larger remainders win the spare seats
-    assert allocate_board_seats(game(51, [50, 30, 20]), 3).vector() == (1, 1, 1)
+    # shares 1.5 / 0.9 / 0.6: the two larger remainders win the spare seats;
     # equal remainders fall back to the larger weight, then input order
-    assert allocate_board_seats(game(51, [45, 45, 10]), 3).vector() == (2, 1, 0)
+    for weights, seats in (([50, 30, 20], (1, 1, 1)), ([45, 45, 10], (2, 1, 0))):
+        allocation = allocate_board_seats(game(51, weights), 3)
+        assert tuple(n for _, n in allocation.seats) == seats
 
 
 def test_board_seats_always_sum_to_board_size():
     for size in (1, 3, 7, 10, 15):
         allocation = allocate_board_seats(game(51, [37, 23, 21, 19]), size)
-        assert sum(allocation.vector()) == size
+        assert sum(n for _, n in allocation.seats) == size
 
 
 def test_board_power_published_rows():

@@ -29,7 +29,7 @@ D = Nationality.domestic("Philippines")
 
 
 def bp(n):
-    return Weight.from_bp(n)
+    return Weight(n)
 
 
 def simple_chain():
@@ -523,6 +523,53 @@ def test_imputations_come_only_from_dictated_corporations(backend):
             imputed += len(expected)
     # Not vacuous: the dictated corporations pass on hundreds of blocks.
     assert imputed > 100
+
+
+def _renamed_corporations(document, seed):
+    """``document`` with its corporations renamed by a seeded permutation of
+    their ids, and the map from each entity's new id back to its old one."""
+    graph = document["graphs"][0]
+    corporations = [q["corporation"] for q in graph["quotas"]]
+    new = {e["id"]: e["id"] for e in document["entities"]}
+    new.update(zip(corporations, random.Random(seed).sample(corporations, len(corporations))))
+    renamed = {**document,
+               "entities": [{**e, "id": new[e["id"]]} for e in document["entities"]],
+               "graphs": [{"id": graph["id"],
+                           "holdings": [{**h, "holder": new[h["holder"]],
+                                         "corporation": new[h["corporation"]]}
+                                        for h in graph["holdings"]],
+                           "quotas": [{**q, "corporation": new[q["corporation"]]}
+                                      for q in graph["quotas"]]}]}
+    return renamed, {to: old for old, to in new.items()}
+
+
+def _verdicts_by_old_id(graph, backend, old):
+    """Each corporation's verdict, with every id read back through ``old``."""
+    return {old[v.corporation]: (old.get(v.controller), v.controller_kind,
+                                 tuple(old[c] for c in v.joint_controllers),
+                                 tuple(Imputation(old[i.holder], old[i.voted_by])
+                                       for i in v.imputations),
+                                 {old[e.player_id]: e.normalized for e in v.report.entries})
+            for v in discrete_propagate(graph, backend=backend)}
+
+
+@pytest.mark.parametrize("backend", ["enum", "dp"])
+def test_verdicts_do_not_depend_on_how_the_topological_order_breaks_ties(backend):
+    from votepower import scenario
+
+    for seed in range(4):
+        document = _layered_document(seed, depth=4, width=6)
+        graph = scenario.parse(document).build_graph("g")
+        same = {e.id: e.id for e in graph.entities}
+        expected = _verdicts_by_old_id(graph, backend, same)
+        # Upstream dictators vote blocks below them, so a tier judged too
+        # early would show.
+        assert any(imputations for _, _, _, imputations, _ in expected.values())
+        renamed, old = _renamed_corporations(document, seed)
+        renamed_graph = scenario.parse(renamed).build_graph("g")
+        # The sorted ready sets now break their ties in another order.
+        assert [old[c] for c in renamed_graph.corporations()] != list(graph.corporations())
+        assert _verdicts_by_old_id(renamed_graph, backend, old) == expected, seed
 
 
 def _path_products(edges, holder, target):

@@ -82,7 +82,7 @@ def test_unanimity_splits_equally_among_positive_weights():
     rng = random.Random(13)
     for _ in range(40):
         g = random_game(rng, max_players=8)
-        unanimous = make_game(Quota.unanimous(), g.players)
+        unanimous = make_game(Quota(1), g.players)
         report = power_report(unanimous)
         positive = [p for p in unanimous.players if p.weight.bp > 0]
         for player in unanimous.players:
@@ -211,7 +211,7 @@ def _exact_games(draw):
     if not any(bps):
         bps[0] = Fraction(1)
     met = sum(compress(bps, draw(st.lists(st.booleans(), min_size=len(bps), max_size=len(bps)))))
-    quota = Quota(met / sum(bps)) if met and draw(st.booleans()) else Quota.unanimous()
+    quota = Quota(met / sum(bps)) if met and draw(st.booleans()) else Quota(1)
     players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(b)) for i, b in enumerate(bps)]
     return VotingGame(quota, players)
 
@@ -240,7 +240,7 @@ def _bp_games(draw, players: tuple[int, int], max_weight: int):
 
 
 def _bp_game(bps, quota):
-    players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight.from_bp(w))
+    players = [Player(f"p{i}", f"p{i}", Nationality.domestic(), Weight(w))
                for i, w in enumerate(bps)]
     return VotingGame(quota, players)
 
@@ -292,7 +292,7 @@ def test_grandfather_shares_into_a_target_sum_to_at_most_one(case):
     ids, edges, full = case
     held = {corporation for _, corporation, _ in edges}
     graph = make_graph([Entity(x, x, Nationality.domestic()) for x in sorted(ids)],
-                       [Holding(h, c, Weight.from_bp(w)) for h, c, w in edges],
+                       [Holding(h, c, Weight(w)) for h, c, w in edges],
                        {c: Quota.of(2, 3) for c in held})
     for target in held:
         total = sum(grandfather_equity(graph, h, target) for h in graph.ultimate_holders())
